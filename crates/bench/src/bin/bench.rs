@@ -183,9 +183,6 @@ struct ObsSection {
     /// Relative cost of enabling instrumentation on the hottest leg, in
     /// percent. Can go slightly negative from wall-clock noise.
     overhead_pct: f64,
-    /// Counter events per second of instrumented wall time, grouped by
-    /// subsystem prefix (`desim`, `netsim`, `core`, `exec`).
-    events_per_sec: BTreeMap<String, f64>,
     /// Accumulated wall time per `obs::span!` label.
     span_breakdown: BTreeMap<String, routesync_obs::SpanSnapshot>,
 }
@@ -585,7 +582,6 @@ fn main() {
     let obs_horizon = SimTime::from_secs(horizon_secs * 20);
     let reps = 7;
     let live = routesync_obs::Collector::enabled();
-    let instrumented_start = Instant::now();
     let run_leg = || {
         let mut rec = CountSends::default();
         let mut model = FastModel::new(paper_params(n), StartState::Unsynchronized, 1993);
@@ -766,14 +762,8 @@ fn main() {
         threads,
         run_one,
     );
-    let instrumented_wall = instrumented_start.elapsed().as_secs_f64();
 
     let snapshot = routesync_obs::global().snapshot();
-    let mut events_per_sec: BTreeMap<String, f64> = BTreeMap::new();
-    for (name, total) in &snapshot.counters {
-        let subsystem = name.split('.').next().unwrap_or(name).to_string();
-        *events_per_sec.entry(subsystem).or_insert(0.0) += *total as f64 / instrumented_wall;
-    }
 
     let report = Report {
         fast,
@@ -799,7 +789,6 @@ fn main() {
             disabled_wall_secs: disabled_wall,
             enabled_wall_secs: enabled_wall,
             overhead_pct,
-            events_per_sec,
             span_breakdown: snapshot.spans.clone(),
         },
         supervision,

@@ -697,6 +697,10 @@ impl RoutingTable {
     /// With `only = Some(dirty)` the same rules apply restricted to the
     /// dirtied destinations (incremental triggered updates). Appended
     /// entries are sorted by destination.
+    ///
+    /// This is `area_base_into` followed by `split_horizon_into`; a
+    /// router with many links of one area class builds the base once and
+    /// filters it per link.
     #[allow(clippy::too_many_arguments)]
     pub fn advertisement_area_into(
         &self,
@@ -710,41 +714,62 @@ impl RoutingTable {
         only: Option<&[NodeId]>,
         out: &mut Vec<RouteEntry>,
     ) {
-        let first = out.len();
+        let mut base = Vec::new();
+        self.area_base_into(layout, mode, link_area, originate_default, only, &mut base);
+        split_horizon_into(&base, link_peers, split_horizon, infinity, out);
+    }
+
+    /// The peer-independent part of [`RoutingTable::advertisement_area_into`]
+    /// for every link whose area is `link_area`: one pass over the table
+    /// (or over `only`) applying the area rules, each entry tagged with
+    /// its next hop and what split horizon does to it. Replaces the
+    /// contents of `out`, sorted by destination.
+    pub(crate) fn area_base_into(
+        &self,
+        layout: &AreaLayout,
+        mode: AreaMode,
+        link_area: Option<usize>,
+        originate_default: bool,
+        only: Option<&[NodeId]>,
+        out: &mut Vec<AreaEntry>,
+    ) {
+        out.clear();
         let mut emit = |table: &Self, i: usize| {
             let dst = table.dsts[i];
-            let metric = table.metrics[i];
-            let next_hop = table.next_hops[i];
-            let on_link = link_peers.contains(&next_hop);
-            if dst == table.me {
-                out.push(RouteEntry { dst, metric });
-                return;
-            }
-            if dst == DEFAULT_DST {
+            let horizon = if dst == table.me {
+                Horizon::Keep
+            } else if dst == DEFAULT_DST {
                 // Held default routes chain outward on intra-area links
                 // only; an originated default supersedes a held one.
-                if link_area.is_some() && !originate_default && !(split_horizon && on_link) {
-                    out.push(RouteEntry { dst, metric });
+                if link_area.is_none() || originate_default {
+                    return;
                 }
-                return;
-            }
-            if let Some(agg) = layout.agg_area(dst) {
+                Horizon::Drop
+            } else if let Some(agg) = layout.agg_area(dst) {
                 let into_own_area = link_area == Some(agg);
                 let stubbed = link_area.is_some() && mode == AreaMode::TotallyStubby;
-                if !(into_own_area || stubbed || split_horizon && on_link) {
-                    out.push(RouteEntry { dst, metric });
+                if into_own_area || stubbed {
+                    return;
                 }
+                Horizon::Drop
+            } else if mode == AreaMode::Stub
+                && link_area.is_some()
+                && layout.area_of(dst) == link_area
+            {
+                // Exact (physical) route: only inside its own area, and
+                // only in Stub mode.
+                Horizon::Poison
+            } else {
                 return;
-            }
-            // Exact (physical) route: only inside its own area, and only
-            // in Stub mode.
-            if mode == AreaMode::Stub && link_area.is_some() && layout.area_of(dst) == link_area {
-                let poisoned = split_horizon && on_link;
-                out.push(RouteEntry {
+            };
+            out.push(AreaEntry {
+                entry: RouteEntry {
                     dst,
-                    metric: if poisoned { infinity } else { metric },
-                });
-            }
+                    metric: table.metrics[i],
+                },
+                next_hop: table.next_hops[i],
+                horizon,
+            });
         };
         match only {
             None => {
@@ -761,12 +786,59 @@ impl RoutingTable {
             }
         }
         if originate_default && link_area.is_some() {
-            out.push(RouteEntry {
-                dst: DEFAULT_DST,
-                metric: 0,
+            out.push(AreaEntry {
+                entry: RouteEntry {
+                    dst: DEFAULT_DST,
+                    metric: 0,
+                },
+                next_hop: self.me,
+                horizon: Horizon::Keep,
             });
         }
-        out[first..].sort_unstable_by_key(|e| e.dst);
+        out.sort_unstable_by_key(|e| e.entry.dst);
+    }
+}
+
+/// What split horizon does to an [`AreaEntry`] on a link whose peers
+/// include the entry's next hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Horizon {
+    /// Nothing: the self route and the originated default.
+    Keep,
+    /// Suppressed (plain split horizon): held defaults and aggregates.
+    Drop,
+    /// Advertised at `infinity` (poisoned reverse): Stub-mode exacts.
+    Poison,
+}
+
+/// One entry of an area advertisement before the per-link split-horizon
+/// filter ([`RoutingTable::area_base_into`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AreaEntry {
+    entry: RouteEntry,
+    next_hop: NodeId,
+    horizon: Horizon,
+}
+
+/// Append the advertisement of `base` for one link with peers
+/// `link_peers`: with split horizon, entries learned from a peer are
+/// dropped or poisoned as their [`Horizon`] says. Keeps `base`'s order.
+pub(crate) fn split_horizon_into(
+    base: &[AreaEntry],
+    link_peers: &[NodeId],
+    split_horizon: bool,
+    infinity: u32,
+    out: &mut Vec<RouteEntry>,
+) {
+    for e in base {
+        let mut entry = e.entry;
+        if split_horizon && e.horizon != Horizon::Keep && link_peers.contains(&e.next_hop) {
+            if e.horizon == Horizon::Drop {
+                continue;
+            }
+            entry.metric = infinity;
+        }
+        out.push(entry);
     }
 }
 
@@ -1216,6 +1288,167 @@ mod area_tests {
             &mut out,
         );
         assert_eq!(out, vec![RouteEntry { dst: 2, metric: 1 }]);
+    }
+
+    /// The per-link full scan that [`RoutingTable::area_base_into`] plus
+    /// [`split_horizon_into`] replaced, kept as the reference they must
+    /// match.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_area_into(
+        t: &RoutingTable,
+        layout: &AreaLayout,
+        mode: AreaMode,
+        link_area: Option<usize>,
+        originate_default: bool,
+        link_peers: &[NodeId],
+        split_horizon: bool,
+        infinity: u32,
+        only: Option<&[NodeId]>,
+        out: &mut Vec<RouteEntry>,
+    ) {
+        let first = out.len();
+        let mut emit = |i: usize| {
+            let dst = t.dsts[i];
+            let metric = t.metrics[i];
+            let on_link = link_peers.contains(&t.next_hops[i]);
+            if dst == t.me {
+                out.push(RouteEntry { dst, metric });
+                return;
+            }
+            if dst == DEFAULT_DST {
+                if link_area.is_some() && !originate_default && !(split_horizon && on_link) {
+                    out.push(RouteEntry { dst, metric });
+                }
+                return;
+            }
+            if let Some(agg) = layout.agg_area(dst) {
+                let into_own_area = link_area == Some(agg);
+                let stubbed = link_area.is_some() && mode == AreaMode::TotallyStubby;
+                if !(into_own_area || stubbed || split_horizon && on_link) {
+                    out.push(RouteEntry { dst, metric });
+                }
+                return;
+            }
+            if mode == AreaMode::Stub && link_area.is_some() && layout.area_of(dst) == link_area {
+                let poisoned = split_horizon && on_link;
+                out.push(RouteEntry {
+                    dst,
+                    metric: if poisoned { infinity } else { metric },
+                });
+            }
+        };
+        match only {
+            None => (0..t.dsts.len()).for_each(&mut emit),
+            Some(only) => {
+                for &dst in only {
+                    if let Ok(i) = t.find(dst) {
+                        emit(i);
+                    }
+                }
+            }
+        }
+        if originate_default && link_area.is_some() {
+            out.push(RouteEntry {
+                dst: DEFAULT_DST,
+                metric: 0,
+            });
+        }
+        out[first..].sort_unstable_by_key(|e| e.dst);
+    }
+
+    /// splitmix64: a self-contained stream for the randomized tables.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// On random tables, layouts and links, the base-plus-filter builder
+    /// matches the per-link reference in both area modes, with split
+    /// horizon on and off, over the whole table and over `only` lists
+    /// (sorted, or raw with repeats and absent destinations).
+    #[test]
+    fn base_and_filter_match_the_per_link_scan() {
+        let mut rng = Mix(1993);
+        for case in 0..2_000 {
+            // 1-6 areas of 0-7 nodes (empty areas included).
+            let sizes: Vec<usize> = (0..1 + rng.below(6)).map(|_| rng.below(8)).collect();
+            let layout = AreaLayout::from_sizes(&sizes);
+            let nodes = layout.node_count().max(1);
+            let me = rng.below(nodes);
+            let mut dst_pool: Vec<NodeId> = (0..nodes).collect();
+            dst_pool.extend((0..layout.areas() + 1).map(AreaLayout::agg_dst));
+            dst_pool.push(DEFAULT_DST);
+            let mut t = RoutingTable::new(me);
+            for _ in 0..rng.below(3 * dst_pool.len()) {
+                let dst = dst_pool[rng.below(dst_pool.len())];
+                if dst != me {
+                    t.install(dst, rng.below(18) as u32, rng.below(nodes));
+                }
+            }
+            let link_area = match rng.below(3) {
+                0 => None,
+                1 => layout.area_of(me),
+                _ => Some(rng.below(layout.areas())),
+            };
+            let link_peers: Vec<NodeId> = (0..rng.below(4)).map(|_| rng.below(nodes)).collect();
+            let only: Option<Vec<NodeId>> = match rng.below(3) {
+                0 => None,
+                k => {
+                    let mut o: Vec<NodeId> = (0..rng.below(2 * dst_pool.len()))
+                        .map(|_| dst_pool[rng.below(dst_pool.len())])
+                        .collect();
+                    if k == 1 {
+                        o.sort_unstable();
+                        o.dedup();
+                    }
+                    Some(o)
+                }
+            };
+            for mode in [AreaMode::Stub, AreaMode::TotallyStubby] {
+                for originate_default in [false, true] {
+                    for split_horizon in [false, true] {
+                        let args = (mode, link_area, originate_default, split_horizon);
+                        let mut want = vec![RouteEntry { dst: 7, metric: 7 }];
+                        let mut got = want.clone();
+                        reference_area_into(
+                            &t,
+                            &layout,
+                            mode,
+                            link_area,
+                            originate_default,
+                            &link_peers,
+                            split_horizon,
+                            16,
+                            only.as_deref(),
+                            &mut want,
+                        );
+                        t.advertisement_area_into(
+                            &layout,
+                            mode,
+                            link_area,
+                            originate_default,
+                            &link_peers,
+                            split_horizon,
+                            16,
+                            only.as_deref(),
+                            &mut got,
+                        );
+                        assert_eq!(got, want, "case {case}: {args:?}");
+                    }
+                }
+            }
+        }
     }
 }
 

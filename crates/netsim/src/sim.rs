@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::app::{App, CbrReceiverStats, PingStats};
 use crate::area::{AreaLayout, AreaMode, DEFAULT_DST};
-use crate::dv::{DvConfig, RouteEntry, RoutingTable, UpdateMode};
+use crate::dv::{split_horizon_into, AreaEntry, DvConfig, RouteEntry, RoutingTable, UpdateMode};
 use crate::faults::{
     FaultKind, FaultPlan, FaultRecord, LinkFlapProfile, RouterFlapProfile, IMPAIR_STREAM,
     LINK_FLAP_STREAM, ROUTER_FLAP_STREAM,
@@ -396,6 +396,9 @@ pub struct NetSim {
     scratch_peers: Vec<NodeId>,
     scratch_nodes: Vec<NodeId>,
     scratch_entries: Vec<RouteEntry>,
+    /// Area advertisement base lists of the firing router, one per link
+    /// area class (`emit_update`).
+    scratch_area_base: [Vec<AreaEntry>; 2],
     /// The master seed (fault-plan RNG streams derive from it).
     seed: u64,
     /// Installed fault plan, if any ([`NetSim::install_faults`]).
@@ -541,6 +544,7 @@ impl NetSim {
             scratch_peers: Vec::new(),
             scratch_nodes: Vec::new(),
             scratch_entries: Vec::new(),
+            scratch_area_base: [Vec::new(), Vec::new()],
             seed,
             faults: None,
             areas,
@@ -1394,6 +1398,12 @@ impl NetSim {
         };
         let prep = self.cfg.cost_per_route * (basis + pad) as u64;
         self.cpu_add(now, node, prep);
+        // Area advertisements: every link of one area class shares the
+        // class's base list, built on first use in this fire. A link
+        // inside an area joins members of that area only, so `node`'s
+        // intra-area links are all in its own area: two classes, indexed
+        // by `link_area.is_some()`.
+        let mut base_built = [false; 2];
         for li in 0..self.topo.links_of(node).len() {
             let link = self.topo.links_of(node)[li];
             if !self.links[link].up {
@@ -1408,35 +1418,52 @@ impl NetSim {
                     .copied()
                     .filter(|&m| m != node),
             );
-            // The entry list is owned by the packet, so an allocation is
-            // inherent — but size it exactly once instead of growing.
-            let mut entries = Vec::with_capacity(basis + pad);
+            let table = &self.nodes[node].table;
+            let adv = &mut self.scratch_entries;
+            adv.clear();
             match self.areas.as_deref() {
-                Some(st) => self.nodes[node].table.advertisement_area_into(
-                    &st.layout,
-                    st.mode,
-                    st.link_area[link],
-                    st.border[node],
-                    &self.scratch_peers,
-                    self.cfg.dv.split_horizon,
-                    self.cfg.dv.infinity,
-                    delta.then_some(dirty.as_slice()),
-                    &mut entries,
-                ),
-                None if delta => self.nodes[node].table.advertisement_delta_into(
+                Some(st) => {
+                    let link_area = st.link_area[link];
+                    debug_assert!(link_area.is_none() || link_area == st.layout.area_of(node));
+                    let class = usize::from(link_area.is_some());
+                    let base = &mut self.scratch_area_base[class];
+                    if !base_built[class] {
+                        table.area_base_into(
+                            &st.layout,
+                            st.mode,
+                            link_area,
+                            st.border[node],
+                            delta.then_some(dirty.as_slice()),
+                            base,
+                        );
+                        base_built[class] = true;
+                    }
+                    split_horizon_into(
+                        base,
+                        &self.scratch_peers,
+                        self.cfg.dv.split_horizon,
+                        self.cfg.dv.infinity,
+                        adv,
+                    );
+                }
+                None if delta => table.advertisement_delta_into(
                     &dirty,
                     &self.scratch_peers,
                     self.cfg.dv.split_horizon,
                     self.cfg.dv.infinity,
-                    &mut entries,
+                    adv,
                 ),
-                None => self.nodes[node].table.advertisement_into(
+                None => table.advertisement_into(
                     &self.scratch_peers,
                     self.cfg.dv.split_horizon,
                     self.cfg.dv.infinity,
-                    &mut entries,
+                    adv,
                 ),
             }
+            // The entry list is owned by the packet, so an allocation is
+            // inherent: build in scratch, then allocate at the exact length.
+            let mut entries = Vec::with_capacity(adv.len() + pad);
+            entries.extend_from_slice(adv);
             // Padding entries model the ~300-route backbone tables; they
             // carry an out-of-range dst and are filtered by receivers (but
             // still cost wire time and CPU).
