@@ -1,7 +1,7 @@
 //! Ablations of the design choices called out in DESIGN.md.
 
 use routesync_core::{ClusterLog, PeriodicModel, PeriodicParams, StartState};
-use routesync_desim::{BinaryHeapScheduler, CalendarQueue, Duration, Scheduler, SimTime};
+use routesync_desim::{CalendarQueue, Duration, Engine, Scheduler, SimTime};
 use routesync_netsim::{ForwardingMode, ScenarioSpec};
 use routesync_rng::{JitterPolicy, TimerResetPolicy};
 use routesync_stats::ascii;
@@ -205,7 +205,10 @@ pub fn forwarding(cfg: &Config) -> Outcome {
 pub fn scheduler(cfg: &Config) -> Outcome {
     let n_events = if cfg.fast { 200_000u64 } else { 2_000_000 };
     // Identical periodic workload on both schedulers.
-    fn drive<S: Scheduler<u64>>(mut s: S, n_events: u64) -> (u64, std::time::Duration) {
+    fn drive<S: Scheduler<u64>>(
+        mut s: Engine<u64, S>,
+        n_events: u64,
+    ) -> (u64, std::time::Duration) {
         let mut x = 99u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -215,22 +218,22 @@ pub fn scheduler(cfg: &Config) -> Outcome {
         };
         let period = 121_000_000_000u64;
         for node in 0..20u64 {
-            s.push(SimTime(rng() % period), node);
+            s.schedule(SimTime(rng() % period), node);
         }
         let start = std::time::Instant::now();
         let mut acc = 0u64;
         for _ in 0..n_events {
             let (t, node) = s.pop().expect("queue never drains");
             acc = acc.wrapping_add(t.0 ^ node);
-            s.push(
+            s.schedule(
                 SimTime(t.0 + period - 100_000_000 + rng() % 200_000_000),
                 node,
             );
         }
         (acc, start.elapsed())
     }
-    let (acc_heap, t_heap) = drive(BinaryHeapScheduler::new(), n_events);
-    let (acc_cal, t_cal) = drive(CalendarQueue::new(), n_events);
+    let (acc_heap, t_heap) = drive(Engine::new(), n_events);
+    let (acc_cal, t_cal) = drive(Engine::with_scheduler(CalendarQueue::new()), n_events);
     let file = write_csv(
         cfg,
         "ablation_scheduler.csv",

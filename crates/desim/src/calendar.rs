@@ -44,8 +44,6 @@ pub struct CalendarQueue<E> {
     bucket_top: u64,
     /// Total pending events.
     len: usize,
-    /// Monotone sequence for FIFO tie-breaking.
-    next_seq: u64,
     /// Lower bound on the next pop time (last popped time).
     last_time: u64,
     /// Resize count, for the instrumentation registry (no-op unless a
@@ -77,7 +75,6 @@ impl<E> CalendarQueue<E> {
             cursor: 0,
             bucket_top: width_nanos,
             len: 0,
-            next_seq: 0,
             last_time: 0,
             obs_resizes: obs.counter("desim.calendar.resizes"),
             obs_occupancy: obs.histogram(
@@ -171,9 +168,7 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> Scheduler<E> for CalendarQueue<E> {
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn push(&mut self, time: SimTime, seq: u64, event: E) {
         if time.0 < self.last_time {
             // A push earlier than the last pop (legal at the queue layer;
             // the engine rejects it for simulations). Rewind the cursor so
@@ -190,7 +185,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -206,7 +201,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
                         let n = self.buckets.len() / 2;
                         self.resize(n);
                     }
-                    return Some((entry.time, entry.event));
+                    return Some((entry.time, entry.seq, entry.event));
                 }
             }
             self.cursor = (self.cursor + 1) % self.buckets.len();
@@ -218,7 +213,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         let entry = self.buckets[self.cursor].pop().expect("min bucket");
         self.len -= 1;
         self.last_time = entry.time.0;
-        Some((entry.time, entry.event))
+        Some((entry.time, entry.seq, entry.event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -227,13 +222,6 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
     }
 }
 
@@ -258,20 +246,26 @@ mod tests {
     }
 
     #[test]
-    fn peek_clear() {
-        conformance::check_peek_clear(CalendarQueue::new());
+    fn peek() {
+        conformance::check_peek(CalendarQueue::new());
+    }
+
+    #[test]
+    fn reserved_seqs_pop_where_eager_ones_would() {
+        conformance::check_reserved_seqs(CalendarQueue::new);
+        conformance::check_reserved_seqs(|| CalendarQueue::with_geometry(1, 1));
     }
 
     #[test]
     fn sparse_far_future_events_pop_correctly() {
         // Events a year of buckets apart exercise the direct-search path.
         let mut q = CalendarQueue::with_geometry(4, 10);
-        q.push(SimTime(1_000_000), 1u32);
-        q.push(SimTime(5), 2);
-        q.push(SimTime(70_000_000_000), 3);
-        assert_eq!(q.pop(), Some((SimTime(5), 2)));
-        assert_eq!(q.pop(), Some((SimTime(1_000_000), 1)));
-        assert_eq!(q.pop(), Some((SimTime(70_000_000_000), 3)));
+        q.push(SimTime(1_000_000), 0, 1u32);
+        q.push(SimTime(5), 1, 2);
+        q.push(SimTime(70_000_000_000), 2, 3);
+        assert_eq!(q.pop(), Some((SimTime(5), 1, 2)));
+        assert_eq!(q.pop(), Some((SimTime(1_000_000), 0, 1)));
+        assert_eq!(q.pop(), Some((SimTime(70_000_000_000), 2, 3)));
         assert_eq!(q.pop(), None);
     }
 
@@ -290,18 +284,21 @@ mod tests {
             x
         };
         let period = 121_000_000_000u64;
+        let mut seq = 0u64;
         for node in 0..20u64 {
             let t = SimTime(rng() % period);
-            cal.push(t, node);
-            heap.push(t, node);
+            seq += 1;
+            cal.push(t, seq, node);
+            heap.push(t, seq, node);
         }
         for _ in 0..5_000 {
-            let (tc, ec) = cal.pop().expect("calendar non-empty");
-            let (th, eh) = heap.pop().expect("heap non-empty");
+            let (tc, _, ec) = cal.pop().expect("calendar non-empty");
+            let (th, _, eh) = heap.pop().expect("heap non-empty");
             assert_eq!((tc, ec), (th, eh));
             let next = SimTime(tc.0 + period - 100_000_000 + rng() % 200_000_000);
-            cal.push(next, ec);
-            heap.push(next, eh);
+            seq += 1;
+            cal.push(next, seq, ec);
+            heap.push(next, seq, eh);
         }
     }
 
@@ -311,11 +308,11 @@ mod tests {
         // Force several grow cycles.
         let mut times: Vec<u64> = (0..500).map(|i| (i * 7919) % 10_000).collect();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime(t), i as u32);
+            q.push(SimTime(t), i as u64, i as u32);
         }
         times.sort_unstable();
         let mut popped = Vec::new();
-        while let Some((t, _)) = q.pop() {
+        while let Some((t, _, _)) = q.pop() {
             popped.push(t.0);
         }
         assert_eq!(popped, times);

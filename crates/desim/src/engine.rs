@@ -2,32 +2,35 @@
 //!
 //! [`Engine`] owns the simulated clock and enforces the causality invariant
 //! (no event may be scheduled before the current instant). Model crates
-//! drive it with a `while let Some((t, ev)) = engine.pop()` loop, or use
-//! [`Engine::run`] with a handler closure and a stopping condition.
+//! drive it with a `while let Some((t, ev)) = engine.pop()` loop.
+//!
+//! ## Reserved sequence numbers
+//!
+//! Every event is ordered by the key `(time, seq)`, where `seq` comes
+//! from one counter the engine owns. [`Engine::schedule`] takes the next
+//! number and pushes at once. A model can instead take the number with
+//! [`Engine::reserve_seq`] at the moment it would have scheduled, and push
+//! the event later with [`Engine::schedule_reserved`], as long as
+//! [`Engine::has_passed`] says the key has not yet gone by. The late event
+//! pops exactly where the eager one would have, so a model can leave out
+//! events that would only have found nothing to do, and push the few that
+//! turn out to matter.
 
 use crate::heap::BinaryHeapScheduler;
 use crate::scheduler::Scheduler;
-use crate::time::{Duration, SimTime};
-
-/// Why a [`Engine::run`] loop stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The pending-event set drained completely.
-    Drained,
-    /// The time horizon was reached (the event at/after the horizon is left
-    /// unpopped).
-    Horizon,
-    /// The event budget was exhausted.
-    Budget,
-    /// The handler requested a stop.
-    Stopped,
-}
+use crate::time::SimTime;
 
 /// A discrete-event simulation engine over an arbitrary event payload `E`
 /// and scheduler `S`.
 pub struct Engine<E, S = BinaryHeapScheduler<E>> {
     queue: S,
     now: SimTime,
+    /// Sequence number of the last popped event; with `now` it is the key
+    /// every later pop exceeds. Zero before the first pop.
+    popped_seq: u64,
+    /// The next sequence number to hand out. Starts at 1, so the key
+    /// `(SimTime::ZERO, 0)` has always passed.
+    next_seq: u64,
     processed: u64,
     /// Events dispatched, for the instrumentation registry (no-op unless a
     /// collector was installed before construction; see `routesync-obs`).
@@ -61,6 +64,8 @@ impl<E, S: Scheduler<E>> Engine<E, S> {
         Engine {
             queue,
             now: SimTime::ZERO,
+            popped_seq: 0,
+            next_seq: 1,
             processed: 0,
             obs_events: obs.counter("desim.engine.events"),
             obs_pending_high: obs.gauge("desim.engine.pending.high_water"),
@@ -80,38 +85,60 @@ impl<E, S: Scheduler<E>> Engine<E, S> {
         self.processed
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedule `event` at absolute instant `at`.
     ///
     /// Panics if `at` is before the current instant — scheduling into the
     /// past is always a model bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Take the next sequence number without scheduling anything: the
+    /// slot an event scheduled now would get. Pass it to
+    /// [`Engine::schedule_reserved`] later, at most once, or never.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` with a number from [`Engine::reserve_seq`].
+    /// It pops exactly where it would have popped had it been scheduled
+    /// when the number was reserved.
+    ///
+    /// Panics if the key `(at, seq)` has already passed
+    /// ([`Engine::has_passed`]): the event would be scheduled into the
+    /// past.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
-            at >= self.now,
-            "scheduled into the past: {} < {}",
+            !self.has_passed(at, seq),
+            "scheduled into the past: ({}, {}) <= ({}, {})",
             at,
-            self.now
+            seq,
+            self.now,
+            self.popped_seq
         );
-        self.queue.push(at, event);
+        debug_assert!(seq < self.next_seq, "sequence number {seq} not reserved");
+        self.queue.push(at, seq, event);
         self.obs_pending_high.record_max(self.queue.len() as u64);
     }
 
-    /// Schedule `event` a span `after` from now.
-    pub fn schedule_in(&mut self, after: Duration, event: E) {
-        let at = self.now + after;
-        self.queue.push(at, event);
-        self.obs_pending_high.record_max(self.queue.len() as u64);
+    /// True if an event with key `(at, seq)` would already have popped:
+    /// the key is at or before that of the last popped event.
+    pub fn has_passed(&self, at: SimTime, seq: u64) -> bool {
+        (at, seq) <= (self.now, self.popped_seq)
     }
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (t, ev) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "scheduler yielded an event out of order");
+        let (t, seq, ev) = self.queue.pop()?;
+        debug_assert!(
+            (t, seq) > (self.now, self.popped_seq),
+            "scheduler yielded an event out of order"
+        );
         self.now = t;
+        self.popped_seq = seq;
         self.processed += 1;
         self.obs_events.inc();
         self.obs_series.tick(t.as_nanos());
@@ -121,42 +148,6 @@ impl<E, S: Scheduler<E>> Engine<E, S> {
     /// The timestamp of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Drop every pending event (the clock is untouched).
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
-    }
-
-    /// Run events through `handler` until the queue drains, `horizon` is
-    /// reached, `max_events` have been processed, or the handler returns
-    /// `false`.
-    ///
-    /// The event whose timestamp is `>= horizon` is *not* popped, so the
-    /// clock never passes the horizon.
-    pub fn run(
-        &mut self,
-        horizon: SimTime,
-        max_events: u64,
-        mut handler: impl FnMut(&mut Self, SimTime, E) -> bool,
-    ) -> RunOutcome {
-        let _span = routesync_obs::span!("desim.engine.run");
-        let mut budget = max_events;
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t >= horizon => return RunOutcome::Horizon,
-                Some(_) => {}
-            }
-            if budget == 0 {
-                return RunOutcome::Budget;
-            }
-            budget -= 1;
-            let (t, ev) = self.pop().expect("peeked event vanished");
-            if !handler(self, t, ev) {
-                return RunOutcome::Stopped;
-            }
-        }
     }
 }
 
@@ -196,51 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn run_respects_horizon() {
+    #[should_panic(expected = "scheduled into the past")]
+    fn scheduling_a_passed_reservation_panics() {
         let mut e: Engine<Ev> = Engine::new();
-        for k in 1..=10 {
-            e.schedule(SimTime::from_secs(k), Ev::Tick(k as u32));
-        }
-        let mut seen = 0;
-        let outcome = e.run(SimTime::from_secs(5), u64::MAX, |_, _, _| {
-            seen += 1;
-            true
-        });
-        assert_eq!(outcome, RunOutcome::Horizon);
-        // Events at t=1..4 pop; the t=5 event is at the horizon and stays.
-        assert_eq!(seen, 4);
-        assert_eq!(e.pending(), 6);
-        assert!(e.now() < SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn run_respects_budget_and_stop() {
-        let mut e: Engine<Ev> = Engine::new();
-        for k in 1..=10 {
-            e.schedule(SimTime::from_secs(k), Ev::Tick(k as u32));
-        }
-        assert_eq!(e.run(SimTime::MAX, 3, |_, _, _| true), RunOutcome::Budget);
-        assert_eq!(e.processed(), 3);
-        assert_eq!(
-            e.run(SimTime::MAX, u64::MAX, |_, _, Ev::Tick(k)| k < 6),
-            RunOutcome::Stopped
-        );
-        assert_eq!(e.now(), SimTime::from_secs(6));
-    }
-
-    #[test]
-    fn run_drains_and_handler_can_schedule() {
-        let mut e: Engine<Ev> = Engine::new();
-        e.schedule(SimTime::from_secs(1), Ev::Tick(1));
-        let outcome = e.run(SimTime::MAX, u64::MAX, |e, t, Ev::Tick(k)| {
-            if k < 5 {
-                e.schedule(t + Duration::from_secs(1), Ev::Tick(k + 1));
-            }
-            true
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(e.now(), SimTime::from_secs(5));
-        assert_eq!(e.processed(), 5);
+        let seq = e.reserve_seq();
+        e.schedule(SimTime::from_secs(5), Ev::Tick(0));
+        e.pop();
+        // Same instant as the popped event, but an earlier number.
+        e.schedule_reserved(SimTime::from_secs(5), seq, Ev::Tick(1));
     }
 
     #[test]
@@ -258,14 +212,5 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut e: Engine<Ev> = Engine::new();
-        e.schedule(SimTime::from_secs(10), Ev::Tick(0));
-        e.pop();
-        e.schedule_in(Duration::from_secs(5), Ev::Tick(1));
-        assert_eq!(e.peek_time(), Some(SimTime::from_secs(15)));
     }
 }

@@ -40,13 +40,12 @@ impl<E> Ord for Entry<E> {
 
 /// A `(time, seq)`-ordered binary heap — the default [`Scheduler`].
 ///
-/// `O(log n)` push/pop. The sequence number guarantees FIFO order among
-/// events with equal timestamps, which the Periodic Messages model relies on
-/// (all members of a cluster reset at the same instant and their resets must
-/// replay deterministically).
+/// `O(log n)` push/pop. The engine's sequence number gives FIFO order
+/// among events with equal timestamps, which the Periodic Messages model
+/// relies on (all members of a cluster reset at the same instant and
+/// their resets must replay deterministically).
 pub struct BinaryHeapScheduler<E> {
     heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
 }
 
 impl<E> BinaryHeapScheduler<E> {
@@ -54,7 +53,6 @@ impl<E> BinaryHeapScheduler<E> {
     pub fn new() -> Self {
         BinaryHeapScheduler {
             heap: BinaryHeap::new(),
-            next_seq: 0,
         }
     }
 
@@ -62,7 +60,6 @@ impl<E> BinaryHeapScheduler<E> {
     pub fn with_capacity(cap: usize) -> Self {
         BinaryHeapScheduler {
             heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
         }
     }
 }
@@ -74,14 +71,12 @@ impl<E> Default for BinaryHeapScheduler<E> {
 }
 
 impl<E> Scheduler<E> for BinaryHeapScheduler<E> {
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn push(&mut self, time: SimTime, seq: u64, event: E) {
         self.heap.push(Entry { time, seq, event });
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+        self.heap.pop().map(|e| (e.time, e.seq, e.event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -90,10 +85,6 @@ impl<E> Scheduler<E> for BinaryHeapScheduler<E> {
 
     fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -113,8 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_clear() {
-        conformance::check_peek_clear(BinaryHeapScheduler::new());
+    fn peek() {
+        conformance::check_peek(BinaryHeapScheduler::new());
+    }
+
+    #[test]
+    fn reserved_seqs_pop_where_eager_ones_would() {
+        conformance::check_reserved_seqs(BinaryHeapScheduler::new);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!    reset their timers at the **same instant**; integer time makes "same
 //!    instant" a well-defined equality instead of a floating-point tolerance.
 //! 2. Events scheduled for the same instant pop in FIFO order of scheduling
-//!    (a monotone sequence number breaks ties), for every scheduler
-//!    implementation.
+//!    (a monotone sequence number, owned by the [`Engine`], breaks ties),
+//!    for every scheduler implementation. A model may reserve a sequence
+//!    number and schedule the event later ([`Engine::reserve_seq`]); it
+//!    then pops exactly where it would have popped if scheduled at once.
 //!
 //! ## Schedulers
 //!
@@ -70,8 +72,8 @@ pub mod time;
 pub mod token;
 
 pub use calendar::CalendarQueue;
-pub use engine::{Engine, RunOutcome};
+pub use engine::Engine;
 pub use heap::BinaryHeapScheduler;
 pub use scheduler::Scheduler;
 pub use time::{Duration, SimTime};
-pub use token::{TokenGen, TokenSlab};
+pub use token::TokenGen;

@@ -40,52 +40,6 @@ impl TokenGen {
     }
 }
 
-/// A vector of generation counters indexed by a dense id (e.g. node id).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TokenSlab {
-    gens: Vec<TokenGen>,
-}
-
-impl TokenSlab {
-    /// A slab with `n` counters, all at generation zero.
-    pub fn new(n: usize) -> Self {
-        TokenSlab {
-            gens: vec![TokenGen::new(); n],
-        }
-    }
-
-    /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// True if the slab is empty.
-    pub fn is_empty(&self) -> bool {
-        self.gens.is_empty()
-    }
-
-    /// The live generation for id `i`.
-    pub fn current(&self, i: usize) -> u64 {
-        self.gens[i].current()
-    }
-
-    /// Invalidate id `i`'s outstanding events; returns the new generation.
-    pub fn bump(&mut self, i: usize) -> u64 {
-        self.gens[i].bump()
-    }
-
-    /// True if an event for id `i` stamped `gen` is still live.
-    pub fn is_live(&self, i: usize, gen: u64) -> bool {
-        self.gens[i].is_live(gen)
-    }
-
-    /// Add one more counter, returning its id.
-    pub fn grow(&mut self) -> usize {
-        self.gens.push(TokenGen::new());
-        self.gens.len() - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,38 +55,17 @@ mod tests {
     }
 
     #[test]
-    fn slab_counters_are_independent() {
-        let mut slab = TokenSlab::new(3);
-        let a = slab.current(0);
-        let b = slab.current(1);
-        slab.bump(0);
-        assert!(!slab.is_live(0, a));
-        assert!(slab.is_live(1, b));
-        assert_eq!(slab.len(), 3);
-    }
-
-    #[test]
-    fn grow_appends_fresh_counter() {
-        let mut slab = TokenSlab::new(1);
-        let id = slab.grow();
-        assert_eq!(id, 1);
-        assert!(slab.is_live(1, 0));
-        assert!(!slab.is_empty());
-    }
-
-    #[test]
     fn cancellation_pattern_with_queue() {
         // The canonical use: schedule, cancel, reschedule; only the live
         // event fires.
-        use crate::heap::BinaryHeapScheduler;
-        use crate::scheduler::Scheduler;
+        use crate::engine::Engine;
         use crate::time::SimTime;
 
-        let mut q = BinaryHeapScheduler::new();
+        let mut q = Engine::new();
         let mut gen = TokenGen::new();
-        q.push(SimTime(10), ("expiry", gen.current()));
+        q.schedule(SimTime(10), ("expiry", gen.current()));
         let g = gen.bump(); // triggered update cancels the pending expiry
-        q.push(SimTime(5), ("expiry", g));
+        q.schedule(SimTime(5), ("expiry", g));
 
         let mut fired = Vec::new();
         while let Some((t, (name, g))) = q.pop() {

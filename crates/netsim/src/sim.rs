@@ -8,6 +8,17 @@
 //! packets. That last behaviour is what turned NEARnet's synchronized IGRP
 //! updates into 90-second-periodic ping loss; the 1992 software fix is
 //! [`ForwardingMode::Concurrent`].
+//!
+//! Link completions and CPU releases are scheduled lazily at reserved
+//! engine sequence numbers (see `routesync_desim::Engine::reserve_seq`).
+//! A transmission reserves the key of its completion but pushes a
+//! `TxDone` only once a packet queues behind it; until the key has passed
+//! the link is busy. Each CPU charge reserves the key of its release, and
+//! a router keeps at most one live `CpuFree` in the engine, which re-arms
+//! at the latest reserved key when a later charge has superseded it. Both
+//! pop exactly where an event pushed for every transmission and every
+//! charge would have, so every output is the same; only the number of
+//! engine events and the pending depth are smaller.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -99,13 +110,15 @@ enum Ev {
     HelloTimer {
         node: NodeId,
     },
+    /// The completion of a transmission that a packet queued behind.
     TxDone {
         link: LinkId,
         slot: usize,
     },
+    /// A router's CPU release, at the key `seq` one charge reserved.
     CpuFree {
         node: NodeId,
-        gen: u64,
+        seq: u64,
     },
     DvTimer {
         node: NodeId,
@@ -338,8 +351,14 @@ struct FaultState {
     log: Vec<FaultRecord>,
 }
 
+/// One sender's transmitter on a link.
 struct TxSlot {
-    busy: bool,
+    /// Engine key `(time, seq)` at which the last transmission completes;
+    /// the slot is busy until it has passed. `(ZERO, 0)`, which has
+    /// always passed, before the first transmission.
+    done: (SimTime, u64),
+    /// Whether a `TxDone` for `done` is in the engine.
+    done_queued: bool,
     queue: VecDeque<(Packet, Option<NodeId>)>,
 }
 
@@ -355,7 +374,12 @@ struct NodeState {
     jitter: JitterPolicy,
     cpu_busy: bool,
     cpu_until: SimTime,
-    cpu_gen: TokenGen,
+    /// Sequence number the last CPU charge reserved for its release at
+    /// `cpu_until`; 0 after a crash.
+    cpu_free_seq: u64,
+    /// Sequence number of the live `CpuFree` in the engine, 0 if none.
+    /// One from before a crash may still be queued; it is ignored.
+    cpu_armed_seq: u64,
     timer_gen: TokenGen,
     arm_when_free: bool,
     pending_triggered: bool,
@@ -497,7 +521,8 @@ impl NetSim {
                 jitter,
                 cpu_busy: false,
                 cpu_until: SimTime::ZERO,
-                cpu_gen: TokenGen::new(),
+                cpu_free_seq: 0,
+                cpu_armed_seq: 0,
                 timer_gen: TokenGen::new(),
                 arm_when_free: false,
                 pending_triggered: false,
@@ -518,7 +543,8 @@ impl NetSim {
                     .nodes
                     .iter()
                     .map(|_| TxSlot {
-                        busy: false,
+                        done: (SimTime::ZERO, 0),
+                        done_queued: false,
                         queue: VecDeque::new(),
                     })
                     .collect(),
@@ -954,12 +980,7 @@ impl NetSim {
                 self.on_arrive(now, to, pkt);
             }
             Ev::TxDone { link, slot } => self.on_tx_done(now, link, slot),
-            Ev::CpuFree { node, gen } => {
-                if self.nodes[node].cpu_gen.is_live(gen) && self.nodes[node].cpu_busy {
-                    debug_assert_eq!(self.nodes[node].cpu_until, now);
-                    self.on_cpu_free(now, node);
-                }
-            }
+            Ev::CpuFree { node, seq } => self.on_cpu_free_event(now, node, seq),
             Ev::DvTimer { node, gen } => {
                 if self.nodes[node].timer_gen.is_live(gen) {
                     self.on_dv_timer(now, node);
@@ -997,11 +1018,17 @@ impl NetSim {
             return;
         }
         let slot = self.slot_of(link, from);
-        if self.links[link].slots[slot].busy {
+        let (done_at, done_seq) = self.links[link].slots[slot].done;
+        if !self.engine.has_passed(done_at, done_seq) {
             let cap = self.topo.link(link).queue_cap;
-            let q = &mut self.links[link].slots[slot].queue;
-            if q.len() < cap {
-                q.push_back((pkt, dst_hint));
+            let s = &mut self.links[link].slots[slot];
+            if s.queue.len() < cap {
+                s.queue.push_back((pkt, dst_hint));
+                if !s.done_queued {
+                    s.done_queued = true;
+                    self.engine
+                        .schedule_reserved(done_at, done_seq, Ev::TxDone { link, slot });
+                }
             } else {
                 self.counters.drop_queue += 1;
                 self.obs.packets_dropped.inc();
@@ -1060,9 +1087,16 @@ impl NetSim {
                 }
             }
         }
-        self.links[link].slots[slot].busy = true;
-        self.engine
-            .schedule(now + tx_time, Ev::TxDone { link, slot });
+        // Reserve the completion's key now, where an eager push would
+        // have taken it; push the event only if a packet already waits.
+        let done = (now + tx_time, self.engine.reserve_seq());
+        let s = &mut self.links[link].slots[slot];
+        s.done = done;
+        s.done_queued = !s.queue.is_empty();
+        if s.done_queued {
+            self.engine
+                .schedule_reserved(done.0, done.1, Ev::TxDone { link, slot });
+        }
     }
 
     /// Deliver `pkt` over `link`, applying any fault-plan impairment:
@@ -1106,7 +1140,7 @@ impl NetSim {
     }
 
     fn on_tx_done(&mut self, now: SimTime, link: LinkId, slot: usize) {
-        self.links[link].slots[slot].busy = false;
+        self.links[link].slots[slot].done_queued = false;
         if let Some((pkt, hint)) = self.links[link].slots[slot].queue.pop_front() {
             if self.links[link].up {
                 self.start_tx(now, link, slot, pkt, hint);
@@ -1630,9 +1664,37 @@ impl NetSim {
             nd.cpu_busy = true;
             nd.cpu_until = now + cost;
         }
-        let gen = nd.cpu_gen.bump();
-        let at = nd.cpu_until;
-        self.engine.schedule(at, Ev::CpuFree { node, gen });
+        // Reserve the release's key now; the router's one live CpuFree
+        // re-arms at it if it is queued for an earlier key.
+        let seq = self.engine.reserve_seq();
+        nd.cpu_free_seq = seq;
+        if nd.cpu_armed_seq == 0 {
+            nd.cpu_armed_seq = seq;
+            self.engine
+                .schedule_reserved(nd.cpu_until, seq, Ev::CpuFree { node, seq });
+        }
+    }
+
+    /// A `CpuFree` popped: one queued before a crash, one a later charge
+    /// superseded, or the release of the whole busy period.
+    fn on_cpu_free_event(&mut self, now: SimTime, node: NodeId, seq: u64) {
+        let nd = &mut self.nodes[node];
+        if seq != nd.cpu_armed_seq {
+            // Queued before a crash that abandoned it.
+            return;
+        }
+        if seq != nd.cpu_free_seq {
+            // A later charge extended the busy period: wait for the
+            // release it reserved.
+            let (at, seq) = (nd.cpu_until, nd.cpu_free_seq);
+            nd.cpu_armed_seq = seq;
+            self.engine
+                .schedule_reserved(at, seq, Ev::CpuFree { node, seq });
+            return;
+        }
+        nd.cpu_armed_seq = 0;
+        debug_assert!(nd.cpu_busy && nd.cpu_until == now);
+        self.on_cpu_free(now, node);
     }
 
     fn on_cpu_free(&mut self, now: SimTime, node: NodeId) {
@@ -1913,10 +1975,12 @@ impl NetSim {
         }
         self.record_fault(now, FaultKind::RouterCrash, node);
         let nd = &mut self.nodes[node];
-        // Invalidate every in-flight DvTimer and CpuFree for this node —
-        // the same generation-token pattern that cancels stale timers.
+        // Invalidate every in-flight DvTimer for this node — the same
+        // generation-token pattern that cancels stale timers — and the
+        // queued CpuFree, whose sequence number no longer matches.
         nd.timer_gen.bump();
-        nd.cpu_gen.bump();
+        nd.cpu_free_seq = 0;
+        nd.cpu_armed_seq = 0;
         nd.cpu_busy = false;
         nd.arm_when_free = false;
         nd.pending_triggered = false;

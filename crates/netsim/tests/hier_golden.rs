@@ -3,10 +3,13 @@
 //! Both area modes run the same fault plan: a border router crashes for
 //! 450 s and reboots, and one intra-area link goes down and comes back.
 //! Together they exercise held default routes, poisoned reverse on
-//! Stub-mode exacts and delta triggered updates. The counters, the event
-//! count and a digest of every final routing table were recorded with
-//! the per-link advertisement scan that `RoutingTable::area_base_into`
-//! replaced.
+//! Stub-mode exacts and delta triggered updates. The counters and a
+//! digest of every final routing table were recorded with the per-link
+//! advertisement scan that `RoutingTable::area_base_into` replaced. The
+//! event count is the engine's count of pushed events: it pins how netsim
+//! schedules, which pushes a `TxDone` only when a packet queues behind a
+//! transmission and keeps one `CpuFree` per router in the engine, and it
+//! may move with that while the counters and digests may not.
 
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::{AreaMode, Counters, FaultPlan, ScenarioSpec};
@@ -76,7 +79,7 @@ fn counters(sent: u64, processed: u64, triggered: u64, drop_router_down: u64) ->
 fn totally_stubby_hierarchy_under_faults_matches_golden() {
     let (c, events, fnv) = run(AreaMode::TotallyStubby);
     assert_eq!(c, counters(1542, 1692, 51, 63));
-    assert_eq!(events, 6400);
+    assert_eq!(events, 4791);
     assert_eq!(fnv, 0x49ec870d573a8064);
 }
 
@@ -84,6 +87,6 @@ fn totally_stubby_hierarchy_under_faults_matches_golden() {
 fn stub_hierarchy_under_faults_matches_golden() {
     let (c, events, fnv) = run(AreaMode::Stub);
     assert_eq!(c, counters(1628, 1776, 148, 62));
-    assert_eq!(events, 6699);
+    assert_eq!(events, 4954);
     assert_eq!(fnv, 0x7b1f9f39f85e802e);
 }
