@@ -10,31 +10,19 @@
 //!
 //! The handler itself only stores to an `AtomicU64` — async-signal-safe
 //! by construction. On non-Unix targets [`install`] is a no-op and
-//! [`interrupted`] only ever reports a programmatic [`request`].
+//! [`interrupted`] never reports a drain.
 
 #![allow(unsafe_code)] // one libc call: signal(2) registration
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// How many SIGINTs (or programmatic [`request`]s) have arrived.
+/// How many SIGINTs have arrived.
 static PENDING: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether a drain has been requested (Ctrl-C or [`request`]).
+/// Whether a drain has been requested (Ctrl-C).
 pub fn interrupted() -> bool {
     PENDING.load(Ordering::Relaxed) != 0
-}
-
-/// Programmatically request a drain, exactly as a SIGINT would. Used by
-/// tests to exercise the graceful-stop path deterministically.
-pub fn request() {
-    PENDING.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Clear a pending drain request (between independent runs in one
-/// process, e.g. the test suite).
-pub fn reset() {
-    PENDING.store(0, Ordering::Relaxed);
 }
 
 #[cfg(unix)]
@@ -78,19 +66,4 @@ mod imp {
 /// binaries that stream results to a checkpoint.
 pub fn install() {
     imp::install()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_and_reset_roundtrip() {
-        reset();
-        assert!(!interrupted());
-        request();
-        assert!(interrupted());
-        reset();
-        assert!(!interrupted());
-    }
 }

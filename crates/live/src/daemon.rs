@@ -15,6 +15,10 @@
 //! simulation) predict the live trajectory and lets a 90-second protocol
 //! period elapse in a fraction of a wall second during tests.
 //!
+//! Between passes the loop blocks in one `ppoll(2)` over every socket
+//! (`crate::wait`) until a socket is readable or in error, or until the
+//! earliest protocol deadline, mapped to wall time, comes due.
+//!
 //! Robustness layers, inside-out:
 //!
 //! * **codec** — every datagram is framed by [`Advertisement`]
@@ -47,20 +51,24 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use routesync_desim::{Duration, SimTime};
 use routesync_exec::checkpoint::{self, Writer};
-use routesync_exec::interrupt;
 use routesync_netsim::{
     Advertisement, DvConfig, FaultAction, LinkId, NodeId, NodeKind, RouteEntry, RoutingTable,
     ScenarioSpec, ScheduledFault, TimerStart,
 };
-use routesync_obs::{Collector, Counter, DetectorConfig, DetectorSnapshot, Gauge, SyncDetector};
+use routesync_obs::{
+    Collector, Counter, DetectorConfig, DetectorSnapshot, Gauge, Histogram, SyncDetector,
+};
 use routesync_rng::{dist, JitterPolicy, MinStd, TimerResetPolicy};
 
 use crate::backoff::DecorrelatedJitter;
 use crate::twin::{DivergenceMonitor, TwinTrack};
+use crate::wait::Waiter;
 
 /// RNG stream index for backoff draws — disjoint from per-node streams
 /// (node ids) and from netsim's fault streams (`0xFA.. - 0xFC..`).
@@ -71,6 +79,63 @@ const LIVE_IMPAIR_STREAM: u64 = 0x11FE_0000;
 /// Twin prediction horizon (simulated seconds) when the daemon itself
 /// has none.
 const DEFAULT_TWIN_HORIZON_SECS: u64 = 7_200;
+/// The longest the loop waits without looking at its [`StopSignal`]: a
+/// stop that no socket or signal announces ends a run this long after it
+/// at most, plus one pass.
+const STOP_CHECK: WallDuration = WallDuration::from_millis(50);
+/// Wall-clock cadence of the live-vs-twin comparison.
+const OBSERVE_EVERY: WallDuration = WallDuration::from_millis(100);
+/// `live.fire_lag_ns` bucket edges: 50 µs to 100 ms.
+const FIRE_LAG_BOUNDS_NS: &[u64] = &[
+    50_000,
+    100_000,
+    250_000,
+    500_000,
+    1_000_000,
+    2_000_000,
+    5_000_000,
+    10_000_000,
+    20_000_000,
+    50_000_000,
+    100_000_000,
+];
+
+/// An explicit request to stop a running [`LiveDaemon`]. Clones share
+/// one flag: keep a clone, hand the original to [`LiveConfig::stop`], and
+/// [`StopSignal::stop`] from any thread makes [`LiveDaemon::run`] drain
+/// with a final checkpoint and return [`Outcome::Interrupted`].
+#[derive(Clone, Default)]
+pub struct StopSignal {
+    raised: Arc<AtomicBool>,
+    probe: Option<fn() -> bool>,
+}
+
+impl StopSignal {
+    /// A signal that only [`StopSignal::stop`] raises.
+    pub fn new() -> Self {
+        StopSignal::default()
+    }
+
+    /// A signal that is also raised whenever `probe` returns true: how a
+    /// binary wires its SIGINT flag to the daemon. The daemon reads the
+    /// probe on every wake-up, and wakes at least every 50 ms.
+    pub fn with_probe(probe: fn() -> bool) -> Self {
+        StopSignal {
+            raised: Arc::default(),
+            probe: Some(probe),
+        }
+    }
+
+    /// Ask the daemon to stop.
+    pub fn stop(&self) {
+        self.raised.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether a stop has been asked for.
+    pub fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst) || self.probe.is_some_and(|probe| probe())
+    }
+}
 
 /// Bounded-retry policy for transient send failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +174,7 @@ pub struct LiveConfig {
     /// Simulated seconds per wall-clock second.
     pub time_scale: f64,
     /// Stop (with a final checkpoint) once the simulated clock reaches
-    /// this; [`SimTime::MAX`] runs until interrupted.
+    /// this; [`SimTime::MAX`] runs until stopped.
     pub horizon: SimTime,
     /// Checkpoint file; `None` disables crash safety.
     pub checkpoint: Option<PathBuf>,
@@ -130,6 +195,8 @@ pub struct LiveConfig {
     /// Where `live.*` metrics go. Hand the installed global collector to
     /// export over an `ObsServer`; a local one for tests.
     pub collector: Collector,
+    /// Stops a running daemon early (see [`StopSignal`]).
+    pub stop: StopSignal,
 }
 
 impl LiveConfig {
@@ -151,6 +218,7 @@ impl LiveConfig {
             twin: true,
             divergence_tolerance: 0.15,
             collector: Collector::disabled(),
+            stop: StopSignal::new(),
         }
     }
 }
@@ -160,8 +228,8 @@ impl LiveConfig {
 pub enum Outcome {
     /// The simulated clock reached the horizon.
     Completed,
-    /// SIGINT (or [`interrupt::request`]) drained the daemon early; the
-    /// final checkpoint supports resumption.
+    /// The [`StopSignal`] drained the daemon early; the final checkpoint
+    /// supports resumption.
     Interrupted,
 }
 
@@ -262,6 +330,9 @@ struct Metrics {
     routes_expired: Counter,
     checkpoint_writes: Counter,
     sim_now: Gauge,
+    rx_refused: Counter,
+    wakeups: Counter,
+    fire_lag_ns: Histogram,
 }
 
 impl Metrics {
@@ -287,6 +358,9 @@ impl Metrics {
             routes_expired: c.counter("live.routes.expired"),
             checkpoint_writes: c.counter("live.checkpoint.writes"),
             sim_now: c.gauge("live.sim_now_ns"),
+            rx_refused: c.counter("live.rx.refused"),
+            wakeups: c.counter("live.loop.wakeups"),
+            fire_lag_ns: c.histogram("live.fire_lag_ns", FIRE_LAG_BOUNDS_NS),
         }
     }
 }
@@ -316,6 +390,15 @@ pub struct LiveDaemon {
     monitor: Option<DivergenceMonitor>,
     writer: Option<Writer>,
     sim_base: SimTime,
+    /// Wall instant at which the simulated clock read `sim_base`.
+    started: Instant,
+    /// No route-expiry, garbage-collection or neighbour-timeout instant
+    /// of a live router comes before this; aging runs only once it has
+    /// passed.
+    next_aging: SimTime,
+    stop: StopSignal,
+    /// Every live socket, keyed by `(router, iface)`.
+    waiter: Waiter<(usize, usize)>,
     rounds: u64,
     m: Metrics,
 }
@@ -486,6 +569,10 @@ impl LiveDaemon {
             monitor,
             writer: None,
             sim_base: SimTime::ZERO,
+            started: Instant::now(),
+            next_aging: SimTime::ZERO,
+            stop: cfg.stop,
+            waiter: Waiter::new(),
             rounds: 0,
             m: Metrics::new(&cfg.collector),
         };
@@ -505,18 +592,17 @@ impl LiveDaemon {
         self.sim_base
     }
 
-    /// Run to the horizon (or until interrupted), then write the final
+    /// Run to the horizon (or until stopped), then write the final
     /// checkpoint and report.
     pub fn run(&mut self) -> io::Result<LiveReport> {
-        let started = Instant::now();
+        self.started = Instant::now();
         let mut next_ckpt = self.sim_base + self.checkpoint_every;
         let mut next_overload = self.sim_base + self.dv.jitter.tp() / 4;
-        let mut last_observe = Instant::now();
+        let mut next_observe = self.started + OBSERVE_EVERY;
         let outcome = loop {
-            let sim_now = self.sim_base.saturating_add(Duration::from_secs_f64(
-                started.elapsed().as_secs_f64() * self.time_scale,
-            ));
-            if interrupt::interrupted() {
+            self.m.wakeups.add(1);
+            let sim_now = self.sim_now();
+            if self.stop.is_raised() {
                 self.record_state(sim_now)?;
                 break Outcome::Interrupted;
             }
@@ -532,7 +618,14 @@ impl LiveDaemon {
             self.pump_recv(sim_now);
             self.process_ingress(sim_now);
             self.fire_timers(sim_now);
-            self.age_routes(sim_now);
+            if sim_now >= self.next_aging {
+                self.age_routes(sim_now);
+            } else {
+                // Whatever this pass heard or changed ages no sooner than
+                // a full timeout from now.
+                let floor = sim_now.saturating_add(self.dv.route_timeout.min(self.dv.gc_timeout));
+                self.next_aging = self.next_aging.min(floor);
+            }
             self.pump_egress();
             if sim_now >= next_overload {
                 next_overload = sim_now + self.dv.jitter.tp() / 4;
@@ -542,14 +635,27 @@ impl LiveDaemon {
                 next_ckpt = sim_now + self.checkpoint_every;
                 self.record_state(sim_now)?;
             }
-            if self.monitor.is_some() && last_observe.elapsed() >= WallDuration::from_millis(100) {
-                last_observe = Instant::now();
+            if self.monitor.is_some() && Instant::now() >= next_observe {
+                next_observe = Instant::now() + OBSERVE_EVERY;
                 let snap = self.detector.snapshot();
                 if let Some(mon) = &mut self.monitor {
                     mon.observe(&snap);
                 }
             }
-            std::thread::sleep(WallDuration::from_millis(1));
+
+            let mut due = self.next_protocol_deadline().min(next_overload);
+            if self.writer.is_some() {
+                due = due.min(next_ckpt);
+            }
+            let now = Instant::now();
+            let mut timeout = self.wall_until(due);
+            if self.monitor.is_some() {
+                timeout = timeout.min(next_observe.saturating_duration_since(now));
+            }
+            if let Some(at) = self.egress.iter().map(|ps| ps.not_before).min() {
+                timeout = timeout.min(at.saturating_duration_since(now));
+            }
+            self.wait(timeout)?;
         };
         if let Some(mon) = &mut self.monitor {
             mon.observe(&self.detector.snapshot());
@@ -557,9 +663,7 @@ impl LiveDaemon {
         let sim_end = if outcome == Outcome::Completed {
             self.horizon
         } else {
-            self.sim_base.saturating_add(Duration::from_secs_f64(
-                started.elapsed().as_secs_f64() * self.time_scale,
-            ))
+            self.sim_now()
         };
         Ok(LiveReport {
             outcome,
@@ -573,6 +677,54 @@ impl LiveDaemon {
             detector: self.detector.snapshot(),
             max_divergence: self.monitor.as_ref().map(|m| m.max_divergence()),
         })
+    }
+
+    /// The simulated clock now.
+    fn sim_now(&self) -> SimTime {
+        self.sim_base.saturating_add(Duration::from_secs_f64(
+            self.started.elapsed().as_secs_f64() * self.time_scale,
+        ))
+    }
+
+    /// Wall time until the simulated clock reads `t`: zero if it already
+    /// has, at most [`STOP_CHECK`].
+    fn wall_until(&self, t: SimTime) -> WallDuration {
+        let at_s =
+            t.as_nanos().saturating_sub(self.sim_base.as_nanos()) as f64 / 1e9 / self.time_scale;
+        let left_s = at_s - self.started.elapsed().as_secs_f64();
+        WallDuration::from_secs_f64(left_s.clamp(0.0, STOP_CHECK.as_secs_f64()))
+    }
+
+    /// The earliest simulated instant with protocol work pending: the
+    /// horizon, the next scheduled fault, the next route-aging instant, and
+    /// per live router its next fire and, while ingress is queued, the end
+    /// of its simulated processing.
+    fn next_protocol_deadline(&self) -> SimTime {
+        let mut due = self.horizon.min(self.next_aging);
+        if let Some(fault) = self.scheduled.get(self.next_fault) {
+            due = due.min(fault.at);
+        }
+        for r in self.routers.iter().filter(|r| !r.crashed) {
+            due = due.min(r.next_fire);
+            if !r.ingress.is_empty() {
+                due = due.min(r.busy_until);
+            }
+        }
+        due
+    }
+
+    /// Block until a live socket is readable or in error, or `timeout`
+    /// passes; [`LiveDaemon::pump_recv`] then reads the ready sockets.
+    fn wait(&mut self, timeout: WallDuration) -> io::Result<()> {
+        self.waiter.clear();
+        for (ridx, r) in self.routers.iter().enumerate() {
+            for (k, iface) in r.ifaces.iter().enumerate() {
+                if let Some(sock) = &iface.sock {
+                    self.waiter.push(sock, (ridx, k));
+                }
+            }
+        }
+        self.waiter.wait(timeout)
     }
 
     /// Apply scheduled faults whose instant has passed.
@@ -708,7 +860,9 @@ impl LiveDaemon {
         }
     }
 
-    /// Drain every socket into the bounded ingress queues.
+    /// Drain the sockets the last wait reported ready into the bounded
+    /// ingress queues. A socket in error carries a peer's `ECONNREFUSED`
+    /// bounce, which drives the refusal retransmit.
     fn pump_recv(&mut self, sim_now: SimTime) {
         let mut buf = [0u8; 65_535];
         let ingress_cap = self.ingress_cap;
@@ -720,86 +874,87 @@ impl LiveDaemon {
             m,
             egress,
             backoff,
+            waiter,
             ..
         } = self;
-        for (ridx, r) in routers.iter_mut().enumerate() {
-            for (k, iface) in r.ifaces.iter_mut().enumerate() {
-                let Some(sock) = &iface.sock else { continue };
-                loop {
-                    match sock.recv(&mut buf) {
-                        Ok(len) => {
-                            m.codec_rx.add(1);
-                            if !iface.up {
-                                continue;
-                            }
-                            if let Some((p, rng)) = impair.get_mut(&iface.link) {
-                                // Receiver-side loss: the wall-clock
-                                // stand-in for the simulator's on-link
-                                // impairment draw.
-                                if dist::unit_f64(rng) < *p {
-                                    m.faults_lost.add(1);
-                                    continue;
-                                }
-                            }
-                            match Advertisement::decode(&buf[..len]) {
-                                Ok(adv) if adv.sender == iface.peer => {
-                                    if iface.timed_out {
-                                        iface.timed_out = false;
-                                        m.neighbor_recoveries.add(1);
-                                    }
-                                    iface.last_heard = Some(sim_now);
-                                    iface.refusals = 0;
-                                    iface.refusal_backoff_ns = 0;
-                                    if r.crashed {
-                                        continue;
-                                    }
-                                    if r.ingress.len() >= ingress_cap {
-                                        r.sheds_since += 1;
-                                        m.shed_ingress.add(1);
-                                    } else {
-                                        r.ingress.push_back((adv.sender, adv));
-                                    }
-                                }
-                                // A frame that decodes but claims the
-                                // wrong sender is as untrustworthy as a
-                                // bad checksum.
-                                Ok(_) | Err(_) => m.codec_malformed.add(1),
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
-                            // The asynchronous ICMP port-unreachable
-                            // bounce from our own earlier send: the peer's
-                            // port is closed (crashed, not yet rebooted).
-                            // Retransmit the refused frame with backoff,
-                            // bounded like any other transient failure.
-                            iface.refusals += 1;
-                            if iface.refusals >= max_attempts {
-                                m.retry_exhausted.add(1);
-                                iface.refusals = 0;
-                                iface.refusal_backoff_ns = 0;
-                            } else if let Some(frame) = iface.last_frame.clone() {
-                                if egress.len() >= egress_cap {
-                                    m.shed_egress.add(1);
-                                } else {
-                                    m.retry_attempts.add(1);
-                                    let delay = backoff.next_delay_ns(iface.refusal_backoff_ns);
-                                    iface.refusal_backoff_ns = delay;
-                                    egress.push_back(PendingSend {
-                                        router: ridx,
-                                        iface: k,
-                                        frame,
-                                        attempts: iface.refusals,
-                                        not_before: Instant::now()
-                                            + WallDuration::from_nanos(delay),
-                                        prev_backoff_ns: delay,
-                                    });
-                                }
-                            }
+        for (ridx, k) in waiter.ready() {
+            let r = &mut routers[ridx];
+            let iface = &mut r.ifaces[k];
+            let Some(sock) = &iface.sock else { continue };
+            loop {
+                match sock.recv(&mut buf) {
+                    Ok(len) => {
+                        m.codec_rx.add(1);
+                        if !iface.up {
                             continue;
                         }
-                        Err(_) => break,
+                        if let Some((p, rng)) = impair.get_mut(&iface.link) {
+                            // Receiver-side loss: the wall-clock
+                            // stand-in for the simulator's on-link
+                            // impairment draw.
+                            if dist::unit_f64(rng) < *p {
+                                m.faults_lost.add(1);
+                                continue;
+                            }
+                        }
+                        match Advertisement::decode(&buf[..len]) {
+                            Ok(adv) if adv.sender == iface.peer => {
+                                if iface.timed_out {
+                                    iface.timed_out = false;
+                                    m.neighbor_recoveries.add(1);
+                                }
+                                iface.last_heard = Some(sim_now);
+                                iface.refusals = 0;
+                                iface.refusal_backoff_ns = 0;
+                                if r.crashed {
+                                    continue;
+                                }
+                                if r.ingress.len() >= ingress_cap {
+                                    r.sheds_since += 1;
+                                    m.shed_ingress.add(1);
+                                } else {
+                                    r.ingress.push_back((adv.sender, adv));
+                                }
+                            }
+                            // A frame that decodes but claims the
+                            // wrong sender is as untrustworthy as a
+                            // bad checksum.
+                            Ok(_) | Err(_) => m.codec_malformed.add(1),
+                        }
                     }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
+                        // The asynchronous ICMP port-unreachable
+                        // bounce from our own earlier send: the peer's
+                        // port is closed (crashed, not yet rebooted).
+                        // Retransmit the refused frame with backoff,
+                        // bounded like any other transient failure.
+                        m.rx_refused.add(1);
+                        iface.refusals += 1;
+                        if iface.refusals >= max_attempts {
+                            m.retry_exhausted.add(1);
+                            iface.refusals = 0;
+                            iface.refusal_backoff_ns = 0;
+                        } else if let Some(frame) = iface.last_frame.clone() {
+                            if egress.len() >= egress_cap {
+                                m.shed_egress.add(1);
+                            } else {
+                                m.retry_attempts.add(1);
+                                let delay = backoff.next_delay_ns(iface.refusal_backoff_ns);
+                                iface.refusal_backoff_ns = delay;
+                                egress.push_back(PendingSend {
+                                    router: ridx,
+                                    iface: k,
+                                    frame,
+                                    attempts: iface.refusals,
+                                    not_before: Instant::now() + WallDuration::from_nanos(delay),
+                                    prev_backoff_ns: delay,
+                                });
+                            }
+                        }
+                        continue;
+                    }
+                    Err(_) => break,
                 }
             }
         }
@@ -841,9 +996,13 @@ impl LiveDaemon {
             while !self.routers[idx].crashed && self.routers[idx].next_fire <= sim_now {
                 let fire_t = self.routers[idx].next_fire;
                 // The detector is fed the *scheduled* instant, not the
-                // wall-derived loop tick, so phase noise from OS
+                // wall-derived wake-up time, so phase noise from OS
                 // scheduling never pollutes R(t).
                 self.detector.on_send(fire_t.as_nanos());
+                let lag_sim_ns = self.sim_now().as_nanos().saturating_sub(fire_t.as_nanos());
+                self.m
+                    .fire_lag_ns
+                    .record((lag_sim_ns as f64 / self.time_scale) as u64);
                 self.rounds += 1;
                 self.m.tx_updates.add(1);
                 self.send_update(idx, fire_t, false);
@@ -912,8 +1071,10 @@ impl LiveDaemon {
     }
 
     /// Route aging: per-neighbour liveness via the protocol's route
-    /// timeout, table expiry, and garbage collection.
+    /// timeout, table expiry, and garbage collection. Leaves the exact
+    /// next instant any of them is due in `next_aging`.
     fn age_routes(&mut self, sim_now: SimTime) {
+        let mut next_aging = SimTime::MAX;
         for idx in 0..self.routers.len() {
             let mut changed = false;
             {
@@ -947,11 +1108,28 @@ impl LiveDaemon {
                 }
                 r.table
                     .gc_due(sim_now, self.dv.gc_timeout, self.dv.infinity);
+                if let Some(t) = r.table.next_aging_deadline(
+                    self.dv.route_timeout,
+                    self.dv.gc_timeout,
+                    self.dv.infinity,
+                ) {
+                    next_aging = next_aging.min(t);
+                }
+                for iface in r.ifaces.iter().filter(|i| i.up && !i.timed_out) {
+                    if let Some(heard) = iface.last_heard {
+                        // Liveness fails once silence *exceeds* the timeout.
+                        let silent = heard
+                            .saturating_add(self.dv.route_timeout)
+                            .saturating_add(Duration::from_nanos(1));
+                        next_aging = next_aging.min(silent);
+                    }
+                }
             }
             if changed && self.dv.triggered_updates {
                 self.send_update(idx, sim_now, true);
             }
         }
+        self.next_aging = next_aging;
     }
 
     /// Transmit due egress frames; transient errors re-queue with
@@ -1342,13 +1520,79 @@ mod tests {
         let mut cfg = fast_cfg("interrupt", 13);
         cfg.horizon = SimTime::MAX;
         cfg.checkpoint = Some(path.clone());
+        let stop = cfg.stop.clone();
         let mut d = LiveDaemon::new(cfg).expect("daemon boots");
-        interrupt::request();
-        let report = d.run().expect("drains cleanly");
-        interrupt::reset();
+        // Stop mid-wait from another thread: the run has no horizon, so
+        // only the signal can end it, and it must do so within 100 ms.
+        let (report, stopped_at) = std::thread::scope(|s| {
+            let stopper = s.spawn(|| {
+                std::thread::sleep(WallDuration::from_millis(150));
+                stop.stop();
+                Instant::now()
+            });
+            let report = d.run().expect("drains cleanly");
+            let ended = Instant::now();
+            let stopped_at = stopper.join().expect("stopper thread");
+            (report, ended.saturating_duration_since(stopped_at))
+        });
         assert_eq!(report.outcome, Outcome::Interrupted);
+        assert!(
+            stopped_at < WallDuration::from_millis(100),
+            "run() ended {stopped_at:?} after the stop request"
+        );
         assert!(checkpoint::load(&path).is_ok(), "final checkpoint valid");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_datagram_arriving_mid_wait_is_applied_at_once() {
+        let mut cfg = fast_cfg("mid-wait", 7);
+        cfg.horizon = SimTime::from_secs(180);
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        // Hold both timers to the horizon: no fire is due while the forged
+        // datagram is in flight.
+        for r in &mut d.routers {
+            r.next_fire = SimTime::from_secs(180);
+        }
+        let sender = d.routers[0].ifaces[0]
+            .sock
+            .as_ref()
+            .expect("live router has a socket")
+            .try_clone()
+            .expect("socket clones");
+        let frame = Advertisement {
+            sender: d.routers[0].id,
+            seq: 1_000,
+            delta: false,
+            entries: vec![RouteEntry { dst: 99, metric: 1 }],
+        }
+        .encode();
+        let sent_at = std::thread::scope(|s| {
+            let forger = s.spawn(|| {
+                std::thread::sleep(WallDuration::from_millis(100));
+                let at = Instant::now();
+                sender.send(&frame).expect("loopback send");
+                at
+            });
+            let report = d.run().expect("run completes");
+            assert_eq!(report.outcome, Outcome::Completed);
+            forger.join().expect("forger thread")
+        });
+        let sent_sim_s = sent_at.saturating_duration_since(d.started).as_secs_f64() * 600.0;
+        let route = d.routers[1]
+            .table
+            .iter()
+            .find(|&(dst, _)| dst == 99)
+            .map(|(_, route)| route)
+            .expect("the forged route was applied");
+        assert_eq!(route.next_hop, d.routers[0].id);
+        let applied_sim_s = route.last_heard.as_secs_f64();
+        // 20 ms of wall clock at 600x is 12 simulated seconds, well under
+        // the STOP_CHECK the wait may otherwise last.
+        assert!(
+            applied_sim_s < 180.0 && (applied_sim_s - sent_sim_s).abs() < 12.0,
+            "sent at {sent_sim_s:.1} s, applied at {applied_sim_s:.1} s (simulated)"
+        );
     }
 
     #[test]
@@ -1370,10 +1614,16 @@ mod tests {
         let snap = collector.snapshot();
         assert_eq!(snap.counters["live.faults.crashes"], 1);
         assert_eq!(snap.counters["live.faults.reboots"], 1);
-        // Sends into the closed port bounced ECONNREFUSED → real retries.
+        // Sends into the closed port bounced ECONNREFUSED → real retries,
+        // driven by ppoll reporting the sender's socket in error.
         assert!(
             snap.counters["live.retry.attempts"] > 0,
             "no retries despite a crashed peer: {:?}",
+            snap.counters
+        );
+        assert!(
+            snap.counters["live.rx.refused"] > 0,
+            "no refusal came through the POLLERR readiness path: {:?}",
             snap.counters
         );
         // After the reboot the pair re-converges.

@@ -20,14 +20,19 @@
 //!   construction; synchronized retries are the paper's failure mode).
 //! * [`twin`] — the predictive simulation track and the live-vs-twin
 //!   divergence monitor exporting `live.twin.*`.
+//! * `wait` — the loop's one blocking point: `ppoll(2)` over the sockets,
+//!   bounded by the next protocol deadline.
 //!
 //! See `docs/LIVE.md` for the architecture, the robustness knobs, and
 //! the exit-code contract of the `routesync serve` CLI front-end.
 
+#![deny(unsafe_code)] // except `wait`'s one ppoll(2) call
+
 pub mod backoff;
 pub mod daemon;
 pub mod twin;
+mod wait;
 
 pub use backoff::DecorrelatedJitter;
-pub use daemon::{LiveConfig, LiveDaemon, LiveReport, Outcome, RetryPolicy};
+pub use daemon::{LiveConfig, LiveDaemon, LiveReport, Outcome, RetryPolicy, StopSignal};
 pub use twin::{DivergenceMonitor, TwinTrack};

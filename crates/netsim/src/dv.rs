@@ -341,30 +341,6 @@ impl RoutingTable {
         self.dead_since.insert(i, dead_since);
     }
 
-    fn remove_where(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        // In-place parallel compaction across the arenas.
-        let mut w = 0;
-        for r in 0..self.dsts.len() {
-            if keep(r) {
-                if w != r {
-                    self.dsts[w] = self.dsts[r];
-                    self.metrics[w] = self.metrics[r];
-                    self.next_hops[w] = self.next_hops[r];
-                    self.last_heard[w] = self.last_heard[r];
-                    self.holddown_until[w] = self.holddown_until[r];
-                    self.dead_since[w] = self.dead_since[r];
-                }
-                w += 1;
-            }
-        }
-        self.dsts.truncate(w);
-        self.metrics.truncate(w);
-        self.next_hops.truncate(w);
-        self.last_heard.truncate(w);
-        self.holddown_until.truncate(w);
-        self.dead_since.truncate(w);
-    }
-
     fn mark_dirty(&mut self, dst: NodeId) {
         if self.track_dirty {
             self.dirty.push(dst);
@@ -551,10 +527,6 @@ impl RoutingTable {
     /// Drop every unreachable route immediately.
     pub fn gc(&mut self, infinity: u32) {
         let me = self.me;
-        let dsts = std::mem::take(&mut self.dsts);
-        let metrics = std::mem::take(&mut self.metrics);
-        self.dsts = dsts;
-        self.metrics = metrics;
         self.remove_where_fields(|dst, metric, _| dst == me || metric < infinity);
     }
 
@@ -568,13 +540,55 @@ impl RoutingTable {
         });
     }
 
+    /// The earliest instant at which [`RoutingTable::expire`] with
+    /// `timeout` or [`RoutingTable::gc_due`] with `grace` would change this
+    /// table, if nothing refreshes it first; `None` when neither ever will.
+    pub fn next_aging_deadline(
+        &self,
+        timeout: Duration,
+        grace: Duration,
+        infinity: u32,
+    ) -> Option<SimTime> {
+        let mut next = SimTime::MAX;
+        for i in 0..self.dsts.len() {
+            if self.dsts[i] == self.me {
+                continue;
+            }
+            if self.metrics[i] < infinity {
+                if self.last_heard[i] != SimTime::MAX {
+                    next = next.min(self.last_heard[i].saturating_add(timeout));
+                }
+            } else if self.dead_since[i] != NOT_DEAD {
+                next = next.min(self.dead_since[i].saturating_add(grace));
+            }
+        }
+        (next != SimTime::MAX).then_some(next)
+    }
+
+    /// Remove the entries `keep` rejects, compacting the arenas in place;
+    /// allocation-free, so the common nothing-to-remove call costs one
+    /// scan.
     fn remove_where_fields(&mut self, mut keep: impl FnMut(NodeId, u32, SimTime) -> bool) {
-        // Split-borrow helper: evaluate keep() against copies, then
-        // compact.
-        let decisions: Vec<bool> = (0..self.dsts.len())
-            .map(|i| keep(self.dsts[i], self.metrics[i], self.dead_since[i]))
-            .collect();
-        self.remove_where(|i| decisions[i]);
+        let mut w = 0;
+        for r in 0..self.dsts.len() {
+            if keep(self.dsts[r], self.metrics[r], self.dead_since[r]) {
+                if w != r {
+                    self.dsts[w] = self.dsts[r];
+                    self.metrics[w] = self.metrics[r];
+                    self.next_hops[w] = self.next_hops[r];
+                    self.last_heard[w] = self.last_heard[r];
+                    self.holddown_until[w] = self.holddown_until[r];
+                    self.dead_since[w] = self.dead_since[r];
+                }
+                w += 1;
+            }
+        }
+        self.dsts.truncate(w);
+        self.metrics.truncate(w);
+        self.next_hops.truncate(w);
+        self.last_heard.truncate(w);
+        self.holddown_until.truncate(w);
+        self.dead_since.truncate(w);
     }
 
     /// Next hop towards `dst`, if a live route exists.
@@ -1484,6 +1498,35 @@ mod gc_tests {
         t.process_update(1, &[RouteEntry { dst: 9, metric: 2 }], now(50), 16);
         t.gc_due(now(500), Duration::from_secs(120), 16);
         assert_eq!(t.metric(9), Some(3));
+    }
+
+    #[test]
+    fn aging_deadline_is_the_next_expiry_or_gc_instant() {
+        let timeout = Duration::from_secs(180);
+        let grace = Duration::from_secs(120);
+        let mut t = RoutingTable::new(0);
+        assert_eq!(t.next_aging_deadline(timeout, grace, 16), None);
+        t.install_direct(5);
+        assert_eq!(
+            t.next_aging_deadline(timeout, grace, 16),
+            None,
+            "direct routes never age"
+        );
+        t.process_update(1, &[RouteEntry { dst: 9, metric: 1 }], now(1), 16);
+        t.process_update(2, &[RouteEntry { dst: 8, metric: 1 }], now(30), 16);
+        assert_eq!(t.next_aging_deadline(timeout, grace, 16), Some(now(181)));
+        // One instant earlier nothing expires; at the deadline dst 9 does.
+        assert!(!t.expire(now(180), timeout, 16));
+        assert!(t.expire(now(181), timeout, 16));
+        // Now dst 9 waits for gc (181 + 120) and dst 8 still for expiry.
+        assert_eq!(t.next_aging_deadline(timeout, grace, 16), Some(now(210)));
+        assert!(t.expire(now(210), timeout, 16));
+        assert_eq!(t.next_aging_deadline(timeout, grace, 16), Some(now(301)));
+        t.gc_due(now(300), grace, 16);
+        assert_eq!(t.metric(9), Some(16));
+        t.gc_due(now(301), grace, 16);
+        assert_eq!(t.metric(9), None);
+        assert_eq!(t.next_aging_deadline(timeout, grace, 16), Some(now(330)));
     }
 
     #[test]

@@ -609,7 +609,7 @@ fn parse_pair(flag: &str, value: &str) -> Result<(usize, f64), String> {
 /// `--resume`); 2 when `--resume` points at a checkpoint written under a
 /// different run configuration.
 fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
-    use routesync_live::{LiveConfig, LiveDaemon, Outcome};
+    use routesync_live::{LiveConfig, LiveDaemon, Outcome, StopSignal};
     use routesync_netsim::{FaultPlan, ScenarioSpec};
 
     let spec_name = flags.get("spec").map(|s| s.as_str()).unwrap_or("nearnet");
@@ -719,6 +719,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     cfg.ingress_cap = ingress_cap;
     cfg.twin = twin;
     cfg.collector = collector;
+    cfg.stop = StopSignal::with_probe(routesync_exec::interrupt::interrupted);
 
     let mut daemon = LiveDaemon::new(cfg).map_err(|e| {
         if e.kind() == std::io::ErrorKind::InvalidInput {
