@@ -1,8 +1,9 @@
-//! Crash-safe, append-only checkpoint files for long-running ensembles.
+//! Crash-safe checkpoint files for long-running runs.
 //!
-//! A checkpoint records completed `(cell key → encoded result)` pairs so
-//! an interrupted sweep or fuzz run can resume without redoing finished
-//! work. The format is built for processes that die *at any instruction*:
+//! A checkpoint records `(key → encoded value)` pairs so an interrupted
+//! run can resume without redoing finished work: completed cells of a
+//! sweep or fuzz run, or the live daemon's latest state snapshot. The
+//! format is built for processes that die *at any instruction*:
 //!
 //! * **Framing** — the file is a sequence of length-prefixed frames,
 //!   `len: u32 LE | crc32: u32 LE | payload`, where the CRC covers the
@@ -11,11 +12,19 @@
 //! * **Creation is atomic** — the header frame is written to a `.tmp`
 //!   sibling, synced, and renamed into place, so a half-created
 //!   checkpoint never exists under the real name.
-//! * **Appends are flushed per record** — a record is durable (modulo OS
-//!   buffering; [`Writer::sync`] forces it) as soon as [`Writer::append`]
-//!   returns. A SIGKILL mid-append leaves a torn tail which
-//!   [`load`] detects by framing and truncates; resuming rewinds the
-//!   file to the last valid frame before appending.
+//! * **One record, one write** — [`Writer::append`] hands each record's
+//!   whole frame to the OS in one `write_all`, so the record survives a
+//!   process crash as soon as the call returns ([`Writer::sync`] makes it
+//!   survive a power loss too). A SIGKILL mid-append leaves a torn tail
+//!   which [`load`] detects by framing and truncates; resuming rewinds
+//!   the file to the last valid frame before appending. A caller that
+//!   needs several values to land together puts them in one record.
+//! * **Compaction is atomic** — [`Writer::rewrite`] replaces the file
+//!   with a header and chosen records through the same tmp + rename as
+//!   creation, so a long-lived writer can drop superseded records.
+//! * **Checksums are table-driven** — [`crc32`] is the IEEE CRC-32,
+//!   computed slice-by-8; [`Crc32`] computes it over several pieces
+//!   without joining them.
 //! * **Corruption is loud** — a *complete* frame whose CRC does not match
 //!   is an error ([`std::io::ErrorKind::InvalidData`]), never a silent
 //!   skip: bit-rot in the middle of a checkpoint must not masquerade as
@@ -33,60 +42,128 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Separator between the key and value inside a record payload.
 const SEP: char = '\u{1f}';
 
+/// The reflected IEEE 802.3 polynomial (zip, gzip, Ethernet).
+const POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table,
+/// and `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups fold in eight input bytes at once. Built at
+/// compile time (8 KiB of read-only data).
+const TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { (c >> 1) ^ POLY } else { c >> 1 };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// Incremental CRC-32: [`Crc32::update`] over consecutive pieces then
+/// [`Crc32::finish`] equals [`crc32`] over their concatenation, so a
+/// caller can checksum a frame without first copying it into one buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of no bytes so far.
+    pub const fn new() -> Self {
+        Crc32 { state: !0 }
+    }
+
+    /// Fold `bytes` into the checksum, eight at a time.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The CRC-32 of everything passed to [`Crc32::update`].
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the same polynomial as
 /// zip/gzip, implemented here so the vendored-only workspace needs no
-/// checksum dependency.
+/// checksum dependency. Table-driven, slice-by-8: the values are those
+/// of the bitwise definition, so frames written by any earlier build
+/// still verify.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-wise table: 16 entries is enough to stay fast without a
-    // 1 KiB static table.
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Write `bytes` to `path` atomically: write a `.tmp` sibling, sync it,
-/// rename over the destination. A crash at any point leaves either the
-/// old file or the new one, never a torn mix.
+/// rename over the destination, and (on Unix) sync the directory so the
+/// rename itself is durable. A crash at any point leaves either the old
+/// file or the new one, never a torn mix.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
     let tmp = tmp_sibling(path);
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    // Only Unix lets a directory be opened and synced.
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {
@@ -95,12 +172,25 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Append one frame whose payload is the concatenation of `parts`.
+fn push_frame(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut crc = Crc32::new();
+    for p in parts {
+        crc.update(p);
+    }
+    out.reserve(8 + len);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    for p in parts {
+        out.extend_from_slice(p);
+    }
+}
+
+/// Append the frame of one `key \x1f value` record.
+fn push_record(out: &mut Vec<u8>, key: &str, value: &str) {
+    debug_assert!(!key.contains(SEP), "checkpoint keys must not contain \\x1f");
+    push_frame(out, &[key.as_bytes(), &[SEP as u8], value.as_bytes()]);
 }
 
 /// A checkpoint loaded from disk.
@@ -199,50 +289,58 @@ pub fn load(path: &Path) -> io::Result<Loaded> {
 /// Streaming appender for one checkpoint file.
 #[derive(Debug)]
 pub struct Writer {
-    out: BufWriter<File>,
+    file: File,
+    /// Reused frame buffer: each append writes one frame from it.
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Create a fresh checkpoint at `path` (atomically: tmp + rename)
     /// containing only the `meta` header frame, opened for appending.
     pub fn create(path: &Path, meta: &str) -> io::Result<Writer> {
-        atomic_write(path, &frame(meta.as_bytes()))?;
+        Writer::rewrite(path, meta, &[])
+    }
+
+    /// Replace the checkpoint at `path` (atomically: tmp + rename) with
+    /// the `meta` header frame followed by `records`, opened for
+    /// appending. A long-lived writer calls this to drop superseded
+    /// records: a crash at any point leaves the old file or the new one.
+    pub fn rewrite(path: &Path, meta: &str, records: &[(&str, &str)]) -> io::Result<Writer> {
+        let mut buf = Vec::new();
+        push_frame(&mut buf, &[meta.as_bytes()]);
+        for (key, value) in records {
+            push_record(&mut buf, key, value);
+        }
+        atomic_write(path, &buf)?;
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(Writer {
-            out: BufWriter::new(file),
-        })
+        Ok(Writer { file, buf })
     }
 
     /// Reopen an existing checkpoint for appending, rewound past any torn
     /// tail to `valid_len` (as reported by [`load`]).
     fn reopen(path: &Path, valid_len: u64) -> io::Result<Writer> {
-        let file = OpenOptions::new().write(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut file = file;
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(Writer {
-            out: BufWriter::new(file),
+            file,
+            buf: Vec::new(),
         })
     }
 
-    /// Append one completed-cell record and flush it to the OS. The
-    /// record is framed and checksummed; a crash mid-call leaves a torn
-    /// tail that the next [`load`] discards.
+    /// Append one record and hand it to the OS in one `write_all` of
+    /// its frame. The record is framed and checksummed; a crash mid-call
+    /// leaves a torn tail that the next [`load`] discards.
     pub fn append(&mut self, key: &str, value: &str) -> io::Result<()> {
-        debug_assert!(!key.contains(SEP), "checkpoint keys must not contain \\x1f");
-        let mut payload = String::with_capacity(key.len() + 1 + value.len());
-        payload.push_str(key);
-        payload.push(SEP);
-        payload.push_str(value);
-        self.out.write_all(&frame(payload.as_bytes()))?;
-        self.out.flush()
+        self.buf.clear();
+        push_record(&mut self.buf, key, value);
+        self.file.write_all(&self.buf)
     }
 
     /// Force everything appended so far to durable storage (fsync).
     pub fn sync(&mut self) -> io::Result<()> {
-        self.out.flush()?;
-        self.out.get_ref().sync_all()
+        self.file.sync_all()
     }
 }
 
@@ -285,6 +383,30 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn rewrite_keeps_only_the_given_records_and_appends_after_them() {
+        let path = tmp("rewrite.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let mut w = Writer::create(&path, "m").expect("create");
+        w.append("old", "1").expect("append");
+        w.append("snap", "first").expect("append");
+        w.sync().expect("sync");
+        let mut w = Writer::rewrite(&path, "m", &[("snap", "second")]).expect("rewrite");
+        assert!(
+            !tmp_sibling(&path).exists(),
+            "tmp file must be renamed away"
+        );
+        w.append("later", "3").expect("append after rewrite");
+        w.sync().expect("sync");
+        let loaded = load(&path).expect("load");
+        assert_eq!(loaded.meta, "m");
+        assert!(!loaded.torn_tail);
+        let keys: Vec<&str> = loaded.records.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["later", "snap"], "the rewrite dropped 'old'");
+        assert_eq!(loaded.records["snap"], "second");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -33,11 +33,16 @@
 //! * **liveness** — a silent neighbour past the protocol's route timeout
 //!   fails its routes ([`RoutingTable::fail_via_with`]); its first
 //!   datagram after that is a counted recovery.
-//! * **checkpoints** — CRC-framed key-value checkpoints
-//!   (`routesync_exec::checkpoint`) carry the full protocol state; a
-//!   restarted daemon resumes byte-identically (the stored table JSON
-//!   reloads and re-serializes to the same bytes). A checkpoint written
-//!   under a different run configuration is refused at open
+//! * **checkpoints** — each checkpoint is one CRC-framed record
+//!   (`routesync_exec::checkpoint`) holding a snapshot of the full
+//!   protocol state, written with one `write` and one fsync, so a crash
+//!   mid-write loses that snapshot whole and resume falls back to the
+//!   previous one. Tables use the compact text form
+//!   ([`RoutingTable::write_compact`]); a restarted daemon resumes
+//!   byte-identically (each stored table parses and re-writes to the
+//!   same bytes). The file is rewritten down to its latest snapshot once
+//!   it holds 8. A checkpoint written under a different
+//!   run configuration or an older snapshot format is refused at open
 //!   (`ErrorKind::InvalidInput`), which the CLI maps to usage-error
 //!   exit 2.
 //! * **twin divergence** — when enabled, the live R(t) trajectory is
@@ -48,6 +53,7 @@
 //! every row.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
@@ -85,8 +91,9 @@ const DEFAULT_TWIN_HORIZON_SECS: u64 = 7_200;
 const STOP_CHECK: WallDuration = WallDuration::from_millis(50);
 /// Wall-clock cadence of the live-vs-twin comparison.
 const OBSERVE_EVERY: WallDuration = WallDuration::from_millis(100);
-/// `live.fire_lag_ns` bucket edges: 50 µs to 100 ms.
-const FIRE_LAG_BOUNDS_NS: &[u64] = &[
+/// Bucket edges of the wall-time histograms `live.fire_lag_ns` and
+/// `live.checkpoint.write_ns`: 50 µs to 100 ms.
+const WALL_NS_BOUNDS: &[u64] = &[
     50_000,
     100_000,
     250_000,
@@ -99,6 +106,17 @@ const FIRE_LAG_BOUNDS_NS: &[u64] = &[
     50_000_000,
     100_000_000,
 ];
+/// The checkpoint record key every snapshot is stored under; the latest
+/// complete one wins at load.
+pub const SNAPSHOT_KEY: &str = "snapshot";
+/// Appended to [`LiveConfig::fingerprint`] to form the checkpoint meta:
+/// names the snapshot layout, so a checkpoint in an older layout is
+/// refused at open like one from a different run configuration.
+const SNAPSHOT_FORMAT: &str = "ckpt=2";
+/// The most snapshots the checkpoint file holds: the write after the
+/// file reaches this many rewrites it as the meta frame plus that one
+/// snapshot.
+const MAX_SNAPSHOTS: usize = 8;
 
 /// An explicit request to stop a running [`LiveDaemon`]. Clones share
 /// one flag: keep a clone, hand the original to [`LiveConfig::stop`], and
@@ -308,6 +326,35 @@ struct PendingSend {
     prev_backoff_ns: u64,
 }
 
+/// The daemon's checkpoint file and the buffer its snapshots are built in.
+struct CheckpointFile {
+    path: PathBuf,
+    meta: String,
+    writer: Writer,
+    /// Snapshot frames in the file. After a resume the count is unknown
+    /// and taken as [`MAX_SNAPSHOTS`], so the first write compacts.
+    snapshots: usize,
+    /// Reused across writes: one snapshot's text.
+    buf: String,
+}
+
+impl CheckpointFile {
+    /// Make `buf` durable as the newest snapshot: append it as one frame
+    /// and fsync, or, once the file holds [`MAX_SNAPSHOTS`], atomically
+    /// rewrite the file as the meta frame plus this snapshot.
+    fn write_buf(&mut self) -> io::Result<()> {
+        if self.snapshots < MAX_SNAPSHOTS {
+            self.writer.append(SNAPSHOT_KEY, &self.buf)?;
+            self.writer.sync()?;
+            self.snapshots += 1;
+        } else {
+            self.writer = Writer::rewrite(&self.path, &self.meta, &[(SNAPSHOT_KEY, &self.buf)])?;
+            self.snapshots = 1;
+        }
+        Ok(())
+    }
+}
+
 /// `live.*` metric handles.
 struct Metrics {
     codec_rx: Counter,
@@ -333,6 +380,7 @@ struct Metrics {
     rx_refused: Counter,
     wakeups: Counter,
     fire_lag_ns: Histogram,
+    checkpoint_write_ns: Histogram,
 }
 
 impl Metrics {
@@ -360,7 +408,8 @@ impl Metrics {
             sim_now: c.gauge("live.sim_now_ns"),
             rx_refused: c.counter("live.rx.refused"),
             wakeups: c.counter("live.loop.wakeups"),
-            fire_lag_ns: c.histogram("live.fire_lag_ns", FIRE_LAG_BOUNDS_NS),
+            fire_lag_ns: c.histogram("live.fire_lag_ns", WALL_NS_BOUNDS),
+            checkpoint_write_ns: c.histogram("live.checkpoint.write_ns", WALL_NS_BOUNDS),
         }
     }
 }
@@ -388,7 +437,7 @@ pub struct LiveDaemon {
     next_fault: usize,
     detector: SyncDetector,
     monitor: Option<DivergenceMonitor>,
-    writer: Option<Writer>,
+    ckpt: Option<CheckpointFile>,
     sim_base: SimTime,
     /// Wall instant at which the simulated clock read `sim_base`.
     started: Instant,
@@ -567,7 +616,7 @@ impl LiveDaemon {
             next_fault: 0,
             detector,
             monitor,
-            writer: None,
+            ckpt: None,
             sim_base: SimTime::ZERO,
             started: Instant::now(),
             next_aging: SimTime::ZERO,
@@ -577,11 +626,22 @@ impl LiveDaemon {
             m: Metrics::new(&cfg.collector),
         };
         if let Some(path) = &cfg.checkpoint {
-            let (writer, records) = checkpoint::resume(path, &cfg.fingerprint)?;
-            daemon.writer = Some(writer);
-            if !records.is_empty() {
-                daemon.restore(&records)?;
+            let meta = format!("{};{SNAPSHOT_FORMAT}", cfg.fingerprint);
+            let (writer, records) = checkpoint::resume(path, &meta)?;
+            let resumed = !records.is_empty();
+            if resumed {
+                let snapshot = records.get(SNAPSHOT_KEY).ok_or_else(|| {
+                    invalid_data(format!("checkpoint {} holds no snapshot", path.display()))
+                })?;
+                daemon.restore(snapshot)?;
             }
+            daemon.ckpt = Some(CheckpointFile {
+                path: path.clone(),
+                meta,
+                writer,
+                snapshots: if resumed { MAX_SNAPSHOTS } else { 0 },
+                buf: String::new(),
+            });
         }
         Ok(daemon)
     }
@@ -631,7 +691,7 @@ impl LiveDaemon {
                 next_overload = sim_now + self.dv.jitter.tp() / 4;
                 self.overload_window();
             }
-            if self.writer.is_some() && sim_now >= next_ckpt {
+            if self.ckpt.is_some() && sim_now >= next_ckpt {
                 next_ckpt = sim_now + self.checkpoint_every;
                 self.record_state(sim_now)?;
             }
@@ -644,7 +704,7 @@ impl LiveDaemon {
             }
 
             let mut due = self.next_protocol_deadline().min(next_overload);
-            if self.writer.is_some() {
+            if self.ckpt.is_some() {
                 due = due.min(next_ckpt);
             }
             let now = Instant::now();
@@ -1196,110 +1256,117 @@ impl LiveDaemon {
         self.m.stretch_gauge.set(max_stretch as u64);
     }
 
-    /// Append the full protocol state to the checkpoint and fsync.
-    /// Later records supersede earlier ones at load time, so each call is
-    /// a complete, self-contained snapshot.
+    /// Write the full protocol state to the checkpoint as one snapshot
+    /// frame and fsync it. Each call is a complete, self-contained
+    /// snapshot; the latest complete one wins at load.
     fn record_state(&mut self, sim_now: SimTime) -> io::Result<()> {
-        let det = self.detector.snapshot();
-        let Some(w) = &mut self.writer else {
+        let Some(mut ckpt) = self.ckpt.take() else {
             return Ok(());
         };
-        w.append("sim_ns", &sim_now.as_nanos().to_string())?;
-        w.append("faults_applied", &self.next_fault.to_string())?;
-        w.append("rounds", &self.rounds.to_string())?;
-        w.append(
-            "detector",
-            &format!(
-                "windows={};onset_ns={}",
-                det.windows,
-                det.onset_t_ns
-                    .map_or_else(|| "none".to_string(), |v| v.to_string())
-            ),
-        )?;
-        for r in &self.routers {
-            let table_json = serde_json::to_string(&r.table)
-                .map_err(|e| invalid_data(format!("table serialization failed: {e}")))?;
-            w.append(&format!("router.{}.table", r.id), &table_json)?;
-            let heard: Vec<String> = r
-                .ifaces
-                .iter()
-                .map(|i| {
-                    i.last_heard
-                        .map_or_else(|| "-".to_string(), |t| t.as_nanos().to_string())
-                })
-                .collect();
-            let tout: String = r
-                .ifaces
-                .iter()
-                .map(|i| if i.timed_out { '1' } else { '0' })
-                .collect();
-            let up: String = r
-                .ifaces
-                .iter()
-                .map(|i| if i.up { '1' } else { '0' })
-                .collect();
-            w.append(
-                &format!("router.{}.state", r.id),
-                &format!(
-                    "seq={};draws={};next_ns={};busy_ns={};stretch={};crashed={};heard={};tout={};up={}",
-                    r.seq,
-                    r.draws,
-                    r.next_fire.as_nanos(),
-                    r.busy_until.as_nanos(),
-                    r.stretch,
-                    u8::from(r.crashed),
-                    heard.join("|"),
-                    tout,
-                    up,
-                ),
-            )?;
-        }
-        w.sync()?;
+        let t0 = Instant::now();
+        self.encode_snapshot(sim_now, &mut ckpt.buf);
+        let written = ckpt.write_buf();
+        self.ckpt = Some(ckpt);
+        written?;
+        self.m
+            .checkpoint_write_ns
+            .record(t0.elapsed().as_nanos() as u64);
         self.m.checkpoint_writes.add(1);
         Ok(())
     }
 
-    /// Rebuild protocol state from checkpoint records (freshly
+    /// The snapshot text: one `key value` line per field — the clock,
+    /// fault cursor, round count and detector, then per router its timer
+    /// and interface state and its compact table.
+    fn encode_snapshot(&self, sim_now: SimTime, out: &mut String) {
+        let det = self.detector.snapshot();
+        out.clear();
+        // Writing to a String cannot fail.
+        let _ = writeln!(
+            out,
+            "sim_ns {}\nfaults_applied {}\nrounds {}\ndetector windows={};onset_ns={}",
+            sim_now.as_nanos(),
+            self.next_fault,
+            self.rounds,
+            det.windows,
+            det.onset_t_ns
+                .map_or_else(|| "none".to_string(), |v| v.to_string())
+        );
+        for r in &self.routers {
+            let _ = write!(
+                out,
+                "router.{}.state seq={};draws={};next_ns={};busy_ns={};stretch={};crashed={};heard=",
+                r.id,
+                r.seq,
+                r.draws,
+                r.next_fire.as_nanos(),
+                r.busy_until.as_nanos(),
+                r.stretch,
+                u8::from(r.crashed),
+            );
+            for (k, iface) in r.ifaces.iter().enumerate() {
+                if k > 0 {
+                    out.push('|');
+                }
+                match iface.last_heard {
+                    Some(t) => {
+                        let _ = write!(out, "{}", t.as_nanos());
+                    }
+                    None => out.push('-'),
+                }
+            }
+            out.push_str(";tout=");
+            out.extend(r.ifaces.iter().map(|i| if i.timed_out { '1' } else { '0' }));
+            out.push_str(";up=");
+            out.extend(r.ifaces.iter().map(|i| if i.up { '1' } else { '0' }));
+            let _ = write!(out, "\nrouter.{}.table ", r.id);
+            r.table.write_compact(out);
+            out.push('\n');
+        }
+    }
+
+    /// Rebuild protocol state from a checkpoint snapshot (freshly
     /// constructed sockets stay as they are; a crashed router's are
     /// dropped again).
-    fn restore(&mut self, records: &BTreeMap<String, String>) -> io::Result<()> {
+    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+        let fields = snapshot_fields(snapshot)?;
+        let field = |key: &str| {
+            fields
+                .get(key)
+                .copied()
+                .ok_or_else(|| invalid_data(format!("checkpoint snapshot has no '{key}'")))
+        };
         let parse_u64 = |key: &str, v: &str| {
             v.parse::<u64>()
-                .map_err(|_| invalid_data(format!("checkpoint record '{key}' is not a number")))
+                .map_err(|_| invalid_data(format!("checkpoint field '{key}' is not a number")))
         };
-        if let Some(v) = records.get("sim_ns") {
-            self.sim_base =
-                SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("sim_ns", v)?));
-        }
-        if let Some(v) = records.get("faults_applied") {
-            self.next_fault = (parse_u64("faults_applied", v)? as usize).min(self.scheduled.len());
-        }
-        if let Some(v) = records.get("rounds") {
-            self.rounds = parse_u64("rounds", v)?;
-        }
-        if let Some(v) = records.get("detector") {
-            let kv = parse_kv(v);
-            let windows = kv
-                .get("windows")
-                .map(|s| parse_u64("detector.windows", s))
-                .transpose()?
-                .unwrap_or(0);
-            let onset = match kv.get("onset_ns").copied() {
-                None | Some("none") => None,
-                Some(s) => Some(parse_u64("detector.onset_ns", s)?),
-            };
-            self.detector.restore(windows, onset);
-        }
+        self.sim_base = SimTime(parse_u64("sim_ns", field("sim_ns")?)?);
+        self.next_fault = (parse_u64("faults_applied", field("faults_applied")?)? as usize)
+            .min(self.scheduled.len());
+        self.rounds = parse_u64("rounds", field("rounds")?)?;
+        let kv = parse_kv(field("detector")?);
+        let windows = kv
+            .get("windows")
+            .map(|s| parse_u64("detector.windows", s))
+            .transpose()?
+            .unwrap_or(0);
+        let onset = match kv.get("onset_ns").copied() {
+            None | Some("none") => None,
+            Some(s) => Some(parse_u64("detector.onset_ns", s)?),
+        };
+        self.detector.restore(windows, onset);
         for idx in 0..self.routers.len() {
             let id = self.routers[idx].id;
-            if let Some(tj) = records.get(&format!("router.{id}.table")) {
-                self.routers[idx].table = serde_json::from_str(tj)
-                    .map_err(|e| invalid_data(format!("router {id} table corrupt: {e}")))?;
+            let table = RoutingTable::parse_compact(field(&format!("router.{id}.table"))?)
+                .map_err(|e| invalid_data(format!("router {id} table corrupt: {e}")))?;
+            if table.me() != id {
+                return Err(invalid_data(format!(
+                    "router {id} checkpointed the table of router {}",
+                    table.me()
+                )));
             }
-            let Some(st) = records.get(&format!("router.{id}.state")) else {
-                continue;
-            };
-            let kv = parse_kv(st);
+            self.routers[idx].table = table;
+            let kv = parse_kv(field(&format!("router.{id}.state"))?);
             let r = &mut self.routers[idx];
             if let Some(v) = kv.get("seq") {
                 r.seq = parse_u64("seq", v)? as u32;
@@ -1315,12 +1382,10 @@ impl LiveDaemon {
                 }
             }
             if let Some(v) = kv.get("next_ns") {
-                r.next_fire =
-                    SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("next_ns", v)?));
+                r.next_fire = SimTime(parse_u64("next_ns", v)?);
             }
             if let Some(v) = kv.get("busy_ns") {
-                r.busy_until =
-                    SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("busy_ns", v)?));
+                r.busy_until = SimTime(parse_u64("busy_ns", v)?);
             }
             if let Some(v) = kv.get("stretch") {
                 r.stretch = (parse_u64("stretch", v)? as u32).clamp(1, self.stretch_max.max(1));
@@ -1334,10 +1399,7 @@ impl LiveDaemon {
                     r.ifaces[i].last_heard = if part == "-" {
                         None
                     } else {
-                        Some(
-                            SimTime::ZERO
-                                .saturating_add(Duration::from_nanos(parse_u64("heard", part)?)),
-                        )
+                        Some(SimTime(parse_u64("heard", part)?))
                     };
                 }
             }
@@ -1364,6 +1426,21 @@ impl LiveDaemon {
         }
         Ok(())
     }
+}
+
+/// Split a checkpoint snapshot (the [`SNAPSHOT_KEY`] record) into its
+/// `key value` lines: `sim_ns`, `faults_applied`, `rounds`, `detector`,
+/// and per router `router.<id>.state` and `router.<id>.table` (the
+/// [`RoutingTable::write_compact`] text).
+pub fn snapshot_fields(snapshot: &str) -> io::Result<BTreeMap<&str, &str>> {
+    snapshot
+        .lines()
+        .map(|line| {
+            line.split_once(' ').ok_or_else(|| {
+                invalid_data(format!("checkpoint snapshot line '{line}' has no value"))
+            })
+        })
+        .collect()
 }
 
 /// Parse `k=v;k=v` checkpoint record bodies.
@@ -1459,22 +1536,26 @@ mod tests {
         assert_eq!(report.outcome, Outcome::Completed);
         drop(d);
 
-        // Resume with the same fingerprint: tables reload and re-serialize
+        // Resume with the same fingerprint: tables reload and re-write
         // to exactly the stored bytes.
         let loaded = checkpoint::load(&path).expect("checkpoint loads");
-        let records: BTreeMap<String, String> = loaded.records.into_iter().collect();
-        assert!(records.contains_key("sim_ns"));
-        for (key, value) in &records {
+        let fields = snapshot_fields(&loaded.records[SNAPSHOT_KEY]).expect("snapshot splits");
+        assert!(fields.contains_key("sim_ns"));
+        let mut tables = 0;
+        for (key, value) in &fields {
             let Some(rest) = key.strip_prefix("router.") else {
                 continue;
             };
             if !rest.ends_with(".table") {
                 continue;
             }
-            let table: RoutingTable = serde_json::from_str(value).expect("table parses");
-            let re = serde_json::to_string(&table).expect("re-serializes");
+            let table = RoutingTable::parse_compact(value).expect("table parses");
+            let mut re = String::new();
+            table.write_compact(&mut re);
             assert_eq!(&re, value, "{key} must round-trip byte-identically");
+            tables += 1;
         }
+        assert_eq!(tables, 2, "one table per router");
 
         let mut cfg2 = fast_cfg("ckpt", 47);
         cfg2.checkpoint = Some(path.clone());
@@ -1483,6 +1564,134 @@ mod tests {
             d2.resumed_at(),
             SimTime::from_secs(700),
             "resumes at horizon"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Snapshot frames in the checkpoint at `path` (every frame after the
+    /// meta).
+    fn snapshot_frames(path: &std::path::Path) -> usize {
+        let bytes = std::fs::read(path).expect("checkpoint reads");
+        let mut pos = 0;
+        let mut frames = 0;
+        while pos + 8 <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 8 + len;
+            frames += 1;
+        }
+        assert_eq!(pos, bytes.len(), "no torn tail");
+        frames - 1
+    }
+
+    #[test]
+    fn checkpoint_file_stays_bounded_and_resumes_byte_identically() {
+        let dir = std::env::temp_dir().join(format!("live-bound-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bounded.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = fast_cfg("bounded", 19);
+        cfg.checkpoint = Some(path.clone());
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        d.run().expect("run completes");
+        assert!(snapshot_frames(&path) <= MAX_SNAPSHOTS);
+        let mut at = d.horizon;
+        for i in 0..30 {
+            at += Duration::from_secs(60);
+            d.rounds += 1;
+            d.record_state(at).expect("checkpoint writes");
+            let held = snapshot_frames(&path);
+            assert!(
+                (1..=MAX_SNAPSHOTS).contains(&held),
+                "after checkpoint {i} the file holds {held} snapshots"
+            );
+        }
+        let last = checkpoint::load(&path).expect("loads").records[SNAPSHOT_KEY].clone();
+        drop(d);
+
+        let mut cfg2 = fast_cfg("bounded", 19);
+        cfg2.checkpoint = Some(path.clone());
+        let mut d2 = LiveDaemon::new(cfg2).expect("resume succeeds");
+        assert_eq!(d2.resumed_at(), at);
+        let mut again = String::new();
+        d2.encode_snapshot(at, &mut again);
+        assert_eq!(
+            again, last,
+            "resumed state re-encodes to the stored snapshot"
+        );
+        // The resumed daemon cannot know how many snapshots the file
+        // holds, and must still keep it bounded.
+        for i in 0..MAX_SNAPSHOTS + 1 {
+            at += Duration::from_secs(60);
+            d2.record_state(at).expect("checkpoint writes");
+            let held = snapshot_frames(&path);
+            assert!(
+                (1..=MAX_SNAPSHOTS).contains(&held),
+                "after resumed checkpoint {i} the file holds {held} snapshots"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_snapshot_resumes_from_the_previous_one() {
+        let dir = std::env::temp_dir().join(format!("live-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = fast_cfg("torn", 29);
+        cfg.checkpoint = Some(path.clone());
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        d.record_state(SimTime::from_secs(100))
+            .expect("first snapshot");
+        let first_len = std::fs::metadata(&path).unwrap().len() as usize;
+        d.rounds = 7;
+        d.record_state(SimTime::from_secs(200))
+            .expect("second snapshot");
+        drop(d);
+        let full = std::fs::read(&path).unwrap();
+        // Every cut inside the second frame, header included, loses that
+        // snapshot whole: nothing of it leaks into the resumed state.
+        for cut in [
+            first_len + 3,
+            first_len + 8,
+            (first_len + full.len()) / 2,
+            full.len() - 1,
+        ] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let mut cfg2 = fast_cfg("torn", 29);
+            cfg2.checkpoint = Some(path.clone());
+            let d2 = LiveDaemon::new(cfg2).expect("resume tolerates a torn tail");
+            assert_eq!(d2.resumed_at(), SimTime::from_secs(100), "cut at {cut}");
+            assert_eq!(d2.rounds, 0, "cut at {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_old_format_checkpoint_is_refused_as_another_configuration() {
+        let dir = std::env::temp_dir().join(format!("live-oldfmt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.ckpt");
+        let _ = std::fs::remove_file(&path);
+        // The earlier layout: the bare fingerprint as meta, one record
+        // per field, tables as JSON.
+        let cfg = fast_cfg("oldfmt", 3);
+        let mut w = Writer::create(&path, &cfg.fingerprint).expect("create");
+        w.append("sim_ns", "120000000000").expect("append");
+        let table = serde_json::to_string(&RoutingTable::new(0)).expect("serializes");
+        w.append("router.0.table", &table).expect("append");
+        w.sync().expect("sync");
+        drop(w);
+        let mut cfg = cfg;
+        cfg.checkpoint = Some(path.clone());
+        let err = match LiveDaemon::new(cfg) {
+            Err(e) => e,
+            Ok(_) => panic!("an old-format checkpoint must be refused"),
+        };
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("different run configuration"),
+            "{err}"
         );
         let _ = std::fs::remove_file(&path);
     }

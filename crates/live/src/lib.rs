@@ -15,7 +15,7 @@
 //!
 //! * [`daemon`] — the event loop: UDP adjacencies, bounded ingress with
 //!   overload shedding, bounded retry, liveness timeouts, fault replay,
-//!   CRC-framed checkpoints with byte-identical resume.
+//!   one CRC-framed snapshot per checkpoint with byte-identical resume.
 //! * [`backoff`] — decorrelated-jitter retry delays (jittered by
 //!   construction; synchronized retries are the paper's failure mode).
 //! * [`twin`] — the predictive simulation track and the live-vs-twin
@@ -34,5 +34,8 @@ pub mod twin;
 mod wait;
 
 pub use backoff::DecorrelatedJitter;
-pub use daemon::{LiveConfig, LiveDaemon, LiveReport, Outcome, RetryPolicy, StopSignal};
+pub use daemon::{
+    snapshot_fields, LiveConfig, LiveDaemon, LiveReport, Outcome, RetryPolicy, StopSignal,
+    SNAPSHOT_KEY,
+};
 pub use twin::{DivergenceMonitor, TwinTrack};

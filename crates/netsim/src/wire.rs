@@ -136,6 +136,7 @@ impl std::error::Error for WireError {}
 /// implementation as the crash-safe checkpoint framing, so one integrity
 /// primitive covers both the wire and the disk.
 pub use routesync_exec::checkpoint::crc32;
+use routesync_exec::checkpoint::Crc32;
 
 impl Advertisement {
     /// Encode into a fresh buffer.
@@ -199,9 +200,13 @@ impl Advertisement {
             return Err(WireError::LengthMismatch { count, body_len });
         }
         let expected = u32::from_le_bytes([bytes[14], bytes[15], bytes[16], bytes[17]]);
-        let mut zeroed = bytes.to_vec();
-        zeroed[14..18].fill(0);
-        let computed = crc32(&zeroed);
+        // The CRC was computed with its own field zeroed: checksum the
+        // frame as sent, with four zero bytes in place of the field.
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..14]);
+        crc.update(&[0; 4]);
+        crc.update(&bytes[HEADER_LEN..]);
+        let computed = crc.finish();
         if computed != expected {
             return Err(WireError::BadChecksum { expected, computed });
         }

@@ -12,6 +12,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use routesync_exec::checkpoint;
+use routesync_live::{snapshot_fields, SNAPSHOT_KEY};
 use routesync_netsim::RoutingTable;
 
 const NS_PER_SEC: u64 = 1_000_000_000;
@@ -56,18 +57,26 @@ fn serve(ckpt: &Path, seed: u64, horizon_secs: u64) -> Command {
     c
 }
 
+/// The latest complete snapshot's `key value` fields. Later snapshots
+/// supersede earlier ones, so the loaded map already holds the last.
+fn fields(loaded: &checkpoint::Loaded) -> std::collections::BTreeMap<&str, &str> {
+    let snapshot = loaded
+        .records
+        .get(SNAPSHOT_KEY)
+        .expect("checkpoint holds a snapshot");
+    snapshot_fields(snapshot).expect("snapshot splits into fields")
+}
+
 /// Final route triples per router from a checkpoint: (dst, metric,
-/// next_hop), sorted. Later records supersede earlier ones, so the
-/// loaded map already holds each router's last table.
+/// next_hop), sorted.
 fn route_triples(loaded: &checkpoint::Loaded) -> Vec<Vec<(usize, u32, usize)>> {
+    let fields = fields(loaded);
     (0..ROUTERS)
         .map(|id| {
-            let json = loaded
-                .records
-                .get(&format!("router.{id}.table"))
+            let text = fields
+                .get(format!("router.{id}.table").as_str())
                 .unwrap_or_else(|| panic!("checkpoint has a table for router {id}"));
-            let table: RoutingTable =
-                serde_json::from_str(json).expect("checkpointed table parses");
+            let table = RoutingTable::parse_compact(text).expect("checkpointed table parses");
             let mut triples: Vec<(usize, u32, usize)> = table
                 .iter()
                 .map(|(dst, route)| (dst, route.metric, route.next_hop))
@@ -80,7 +89,7 @@ fn route_triples(loaded: &checkpoint::Loaded) -> Vec<Vec<(usize, u32, usize)>> {
 
 /// Parse the `detector` record: `windows=N;onset_ns=N|none`.
 fn detector_state(loaded: &checkpoint::Loaded) -> (u64, Option<u64>) {
-    let rec = loaded.records.get("detector").expect("detector record");
+    let rec = *fields(loaded).get("detector").expect("detector field");
     let mut windows = 0;
     let mut onset = None;
     for field in rec.split(';') {
@@ -97,7 +106,11 @@ fn detector_state(loaded: &checkpoint::Loaded) -> (u64, Option<u64>) {
 fn checkpointed_sim_ns(path: &Path) -> u64 {
     checkpoint::load(path)
         .ok()
-        .and_then(|l| l.records.get("sim_ns").and_then(|s| s.parse().ok()))
+        .and_then(|l| {
+            let snapshot = l.records.get(SNAPSHOT_KEY)?;
+            let fields = snapshot_fields(snapshot).ok()?;
+            fields.get("sim_ns")?.parse().ok()
+        })
         .unwrap_or(0)
 }
 
@@ -222,9 +235,9 @@ fn resume_with_mismatched_scenario_exits_2() {
     );
 }
 
-/// Every checkpointed routing table survives a parse → re-serialize
-/// round trip byte-identically, so a resumed daemon starts from exactly
-/// the bytes the crashed one persisted.
+/// Every checkpointed routing table survives a parse → re-write round
+/// trip byte-identically, so a resumed daemon starts from exactly the
+/// bytes the crashed one persisted.
 #[test]
 fn checkpointed_tables_round_trip_byte_identically() {
     let dir = temp_dir("roundtrip");
@@ -243,13 +256,14 @@ fn checkpointed_tables_round_trip_byte_identically() {
         "completed run must not leave a torn tail"
     );
     let mut tables = 0;
-    for (key, value) in &loaded.records {
+    for (key, value) in &fields(&loaded) {
         if !key.ends_with(".table") {
             continue;
         }
-        let table: RoutingTable = serde_json::from_str(value).expect("table parses");
-        let reserialized = serde_json::to_string(&table).expect("table re-serializes");
-        assert_eq!(&reserialized, value, "{key} is not byte-identical");
+        let table = RoutingTable::parse_compact(value).expect("table parses");
+        let mut rewritten = String::new();
+        table.write_compact(&mut rewritten);
+        assert_eq!(&rewritten, value, "{key} is not byte-identical");
         tables += 1;
     }
     assert_eq!(tables, ROUTERS, "one table per router");
